@@ -22,8 +22,8 @@ The exit code is 0 only when every output check passed.  Other modes:
 ``--self-test``
     tiny sizes: every metric in ``BENCHMARK.json`` is printed with its
     unit, and the generated inputs repeat for a seed.
-``--write-spec``
-    regenerate ``BENCHMARK.json`` from ``perfbench/metrics.py``.
+
+Metric names, units and the run length come from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "perfbench" / "out"
+SPEC = ROOT / "BENCHMARK.json"
 
 # One BLAS thread: on a small shared machine a second BLAS thread only
 # competes with the interpreter for the same cores, which adds noise and
@@ -93,20 +94,29 @@ def _sim_check(first, result, errors: list[str]) -> None:
 
 
 def run_untraced(workload, seconds: float, setup_s: float) -> tuple:
-    """Passes until ``seconds`` elapse; the end-to-end metrics."""
+    """Whole cycles of passes while they fit in ``seconds``; the
+    end-to-end metrics.
+
+    A cycle is one pass where every pass replays the same inputs, and
+    the ``min_passes`` distinct passes otherwise, so that every run
+    measures the same inputs in the same proportions however fast the
+    program is.  The first cycle always runs; a further one only when
+    the previous cycle's wall time still fits.
+    """
+    cycle = workload.cycle
     passes = []
     started = time.perf_counter()
     while True:
-        passes.append(workload.run_pass(len(passes)))
+        passes.append(workload.run_pass(len(passes) % cycle))
         elapsed = time.perf_counter() - started
         if len(passes) >= workload.min_passes \
-                and elapsed + passes[-1].wall_s > seconds:
+                and len(passes) % cycle == 0 \
+                and elapsed + sum(p.wall_s for p in passes[-cycle:]) \
+                > seconds:
             break
-    first = passes[0]
     errors = [line for p in passes for line in p.errors]
-    if workload.repeats_passes:
-        for result in passes[1:]:
-            _sim_check(first, result, errors)
+    for index, result in enumerate(passes[cycle:], start=cycle):
+        _sim_check(passes[index % cycle], result, errors)
     errors += workload.final_checks()
     sim = workload.sim_metrics(passes)
     wall = sum(p.wall_s for p in passes)
@@ -249,15 +259,18 @@ def tail_attribution(tracer) -> dict:
 
 def run_traced(workload, seconds: float, seed: int) -> tuple:
     """Pairs of untraced and traced passes over the same inputs, for
-    half the time budget; the per-layer metrics."""
+    half the time budget; the per-layer metrics.  Pass inputs cycle as
+    in :func:`run_untraced`."""
     from perfbench.tracer import Tracer, install
 
+    cycle = workload.cycle
     untraced, traced, layers = [], [], []
     errors: list[str] = []
     tails = {}
     started = time.perf_counter()
     while True:
-        index = len(traced)
+        first = not traced
+        index = len(traced) % cycle
         untraced.append(workload.run_pass(index))
         tracer = Tracer()
         installed = install(tracer)
@@ -265,12 +278,12 @@ def run_traced(workload, seconds: float, seed: int) -> tuple:
             result = workload.run_pass(index, tracer)
         finally:
             installed.uninstall()
-        if not index:
+        if first:
             errors += workload.final_checks()
         traced.append(result)
         _sim_check(untraced[-1], result, errors)
         layers.append(layer_metrics(tracer, result, workload.restore_s))
-        if not index:
+        if first:
             tails = tail_attribution(tracer)
             tracer.dump(OUT / f"{workload.name}-seed{seed}-spans",
                         {"workload": workload.name, "seed": seed,
@@ -281,9 +294,8 @@ def run_traced(workload, seconds: float, seed: int) -> tuple:
                 and elapsed + untraced[-1].wall_s + result.wall_s \
                 > seconds / 2:
             break
-    if workload.repeats_passes:
-        for result in untraced[1:]:
-            _sim_check(untraced[0], result, errors)
+    for index, result in enumerate(untraced[cycle:], start=cycle):
+        _sim_check(untraced[index % cycle], result, errors)
     for result in untraced + traced:
         errors += result.errors
     metrics = {name: statistics.median(row[name] for row in layers)
@@ -309,8 +321,8 @@ def _import_seconds() -> float:
 def run_one(args) -> int:
     """One workload, one run, one JSON result line."""
     _prepare_imports()
+    spec = json.loads(SPEC.read_text())
     import_s = statistics.median(_import_seconds() for _ in range(5))
-    from perfbench import metrics as registry
     from perfbench import workloads
 
     setups = []
@@ -325,14 +337,15 @@ def run_one(args) -> int:
     if args.trace:
         values, attempted, errors, info = run_traced(
             workload, args.seconds, args.seed)
-        reported = {name: {"value": values[name], "unit": unit}
-                    for name, unit, _ in registry.PER_LAYER}
+        reported = {entry["name"]: {"value": values[entry["name"]],
+                                    "unit": entry["unit"]}
+                    for entry in spec["per_layer"]}
     else:
         values, attempted, errors, info = run_untraced(
             workload, args.seconds, setup_s)
-        names = [name for name, *_ in registry.END_TO_END]
-        reported = {name: {"value": values[name][0],
-                           "unit": values[name][1]} for name in names}
+        reported = {entry["name"]: {"value": values[entry["name"]][0],
+                                    "unit": values[entry["name"]][1]}
+                    for entry in spec["end_to_end"]}
         info["all_end_to_end"] = {name: {"value": v, "unit": u}
                                   for name, (v, u) in values.items()}
     report = {"workload": args.workload, "seed": args.seed,
@@ -374,10 +387,8 @@ def _child(workload: str, seed: int, seconds: float, trace: int,
 def run_all(args) -> int:
     """Every workload ``--reps`` times, interleaved, then traced once."""
     _prepare_imports()
-    from perfbench import metrics as registry
+    from perfbench.workloads import NAMES as names
 
-    names = [name for name, _ in
-             registry.WORKLOADS + registry.EXTRA_WORKLOADS]
     runs = []
     for rep in range(args.reps):
         order = names[rep % len(names):] + names[:rep % len(names)]
@@ -425,19 +436,19 @@ def run_all(args) -> int:
 def self_test(args) -> int:
     """Tiny sizes: names, units and input determinism."""
     _prepare_imports()
-    from perfbench import metrics as registry
     from perfbench import workloads
 
     problems = []
-    committed = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if committed != registry.spec():
-        problems.append("BENCHMARK.json differs from perfbench/metrics.py "
-                        "(run --write-spec)")
+    committed = json.loads(SPEC.read_text())
     readme = (ROOT / "perfbench" / "README.md").read_text()
     for entry in committed["end_to_end"] + committed["per_layer"]:
         if f"`{entry['name']}`" not in readme:
             problems.append(f"README.md does not define {entry['name']}")
-    for name, _ in registry.WORKLOADS + registry.EXTRA_WORKLOADS:
+    for entry in committed["workloads"]:
+        if entry["name"] not in workloads.NAMES:
+            problems.append(f"BENCHMARK.json names unknown workload "
+                            f"{entry['name']}")
+    for name in workloads.NAMES:
         first = workloads.make(name, 3, tiny=True).inputs_digest()
         again = workloads.make(name, 3, tiny=True).inputs_digest()
         other = workloads.make(name, 4, tiny=True).inputs_digest()
@@ -479,16 +490,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="every workload, interleaved repetitions")
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--self-test", action="store_true")
-    parser.add_argument("--write-spec", action="store_true")
     args = parser.parse_args(argv)
     if args.seconds is None:
-        args.seconds = json.loads(
-            (ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    if args.write_spec:
-        _prepare_imports()
-        from perfbench import metrics as registry
-        registry.write_spec(ROOT / "BENCHMARK.json")
-        return 0
+        args.seconds = json.loads(SPEC.read_text())["run_seconds"]
     if args.self_test:
         return self_test(args)
     if args.all:

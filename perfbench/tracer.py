@@ -366,14 +366,18 @@ class Installed:
 def install(tracer: Tracer) -> Installed:
     """Wrap every layer's public methods; returns the undo handle.
 
-    Attributes that a later version of the program no longer has are
-    skipped, so the benchmark keeps running (the affected metrics then
-    read 0).
+    Raises :class:`AttributeError`, wrapping nothing, when a hooked
+    attribute is missing: a renamed method would otherwise read as a
+    layer that does no work.
     """
+    hooks = _hooks(tracer)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in hooks if attr not in owner.__dict__]
+    if missing:
+        raise AttributeError(f"cannot trace missing attributes: "
+                             f"{', '.join(missing)}")
     originals = []
-    for owner, attr, span, after, before in _hooks(tracer):
-        if attr not in owner.__dict__:
-            continue
+    for owner, attr, span, after, before in hooks:
         original = _wrap(tracer, owner, attr, span, after=after,
                          before=before)
         originals.append((owner, attr, original))
