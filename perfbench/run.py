@@ -63,6 +63,11 @@ def _prepare_imports() -> None:
     sys.path[:0] = [str(src), str(ROOT)]
 
 
+#: Units of the simulated metrics each pass reports.
+SIM_UNITS = {"sim_rejected_frac": "fraction", "sim_mean_wait_s": "s",
+             "sim_mean_frag": "index", "refused_frac": "fraction"}
+
+
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank ``q`` quantile (0..1) of unsorted values."""
     ordered = sorted(values)
@@ -84,62 +89,64 @@ def machine() -> dict:
 # -- one run --------------------------------------------------------------------
 
 def _sim_check(first, result, errors: list[str]) -> None:
-    """Simulated outputs and PERF counts must repeat exactly."""
+    """Simulated outputs and PERF counts must repeat exactly, and the
+    passes must time the same units of work."""
     if result.digest != first.digest:
         errors.append("determinism: pass digest differs at one seed")
     if result.sim != first.sim:
         errors.append("determinism: sim metrics differ at one seed")
     if result.perf != first.perf:
         errors.append("determinism: PERF counts differ at one seed")
+    if len(result.op_s) != len(first.op_s) \
+            or len(result.latencies_s) != len(first.latencies_s):
+        errors.append("determinism: passes timed different operations")
+
+
+def least(rows: list[list[float]]) -> list[float]:
+    """Element by element, the least of equally long rows."""
+    return [min(column) for column in zip(*rows)]
 
 
 def run_untraced(workload, seconds: float, setup_s: float) -> tuple:
-    """Whole cycles of passes while they fit in ``seconds``; the
-    end-to-end metrics.
+    """Passes while they fit in ``seconds``; the end-to-end metrics.
 
-    A cycle is one pass where every pass replays the same inputs, and
-    the ``min_passes`` distinct passes otherwise, so that every run
-    measures the same inputs in the same proportions however fast the
-    program is.  The first cycle always runs; a further one only when
-    the previous cycle's wall time still fits.
+    Every pass replays the same inputs and times each unit of work (a
+    request, an arrival, a submit) in the same order.  Each unit's host
+    time is its least over the passes: a shared host slows single
+    stretches of a pass, rarely the same stretch of every pass, so the
+    least time is the program's own.
     """
-    cycle = workload.cycle
     passes = []
     started = time.perf_counter()
     while True:
-        passes.append(workload.run_pass(len(passes) % cycle))
+        passes.append(workload.run_pass())
         elapsed = time.perf_counter() - started
         if len(passes) >= workload.min_passes \
-                and len(passes) % cycle == 0 \
-                and elapsed + sum(p.wall_s for p in passes[-cycle:]) \
-                > seconds:
+                and elapsed + passes[-1].wall_s > seconds:
             break
+    first = passes[0]
     errors = [line for p in passes for line in p.errors]
-    for index, result in enumerate(passes[cycle:], start=cycle):
-        _sim_check(passes[index % cycle], result, errors)
+    for result in passes[1:]:
+        _sim_check(first, result, errors)
     errors += workload.final_checks()
-    sim = workload.sim_metrics(passes)
-    wall = sum(p.wall_s for p in passes)
-    latencies = [x for p in passes for x in p.latencies_s]
+    wall = sum(least([p.op_s for p in passes]))
+    latencies = least([p.latencies_s for p in passes])
     metrics = {
         "setup_s": (setup_s, "s"),
-        "tasks_per_s": (sum(p.tasks for p in passes) / wall, "tasks/s"),
+        "tasks_per_s": (first.tasks / wall, "tasks/s"),
         "submit_p50_us": (percentile(latencies, 0.50) * 1e6, "us"),
         "submit_p99_us": (percentile(latencies, 0.99) * 1e6, "us"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF)
                         .ru_maxrss / 1024, "MB"),
-        "sim_rejected_frac": (sim["sim_rejected_frac"], "fraction"),
-        "sim_mean_wait_s": (sim["sim_mean_wait_s"], "s"),
-        "sim_mean_frag": (sim["sim_mean_frag"], "index"),
-        "refused_frac": (sim["refused_frac"], "fraction"),
+        **{name: (value, SIM_UNITS[name])
+           for name, value in first.sim.items()},
     }
-    checkpoint_ms = [x for p in passes for x in p.extra.get(
-        "checkpoint_ms", [])]
-    if checkpoint_ms:
+    if "checkpoint_ms" in first.extra:
+        checkpoint_ms = least([p.extra["checkpoint_ms"] for p in passes])
         metrics["checkpoint_p50_ms"] = (statistics.median(checkpoint_ms),
                                         "ms")
-        metrics["requests_per_s"] = (
-            sum(p.extra["requests"] for p in passes) / wall, "req/s")
+        metrics["requests_per_s"] = (first.extra["requests"] / wall,
+                                     "req/s")
     attempted = sum(p.attempted for p in passes)
     metrics["error_frac"] = (len(errors) / max(1, attempted), "fraction")
     info = {"passes": len(passes), "latency_samples": len(latencies),
@@ -259,23 +266,20 @@ def tail_attribution(tracer) -> dict:
 
 def run_traced(workload, seconds: float, seed: int) -> tuple:
     """Pairs of untraced and traced passes over the same inputs, for
-    half the time budget; the per-layer metrics.  Pass inputs cycle as
-    in :func:`run_untraced`."""
+    half the time budget; the per-layer metrics."""
     from perfbench.tracer import Tracer, install
 
-    cycle = workload.cycle
     untraced, traced, layers = [], [], []
     errors: list[str] = []
     tails = {}
     started = time.perf_counter()
     while True:
         first = not traced
-        index = len(traced) % cycle
-        untraced.append(workload.run_pass(index))
+        untraced.append(workload.run_pass())
         tracer = Tracer()
         installed = install(tracer)
         try:
-            result = workload.run_pass(index, tracer)
+            result = workload.run_pass(tracer)
         finally:
             installed.uninstall()
         if first:
@@ -294,8 +298,8 @@ def run_traced(workload, seconds: float, seed: int) -> tuple:
                 and elapsed + untraced[-1].wall_s + result.wall_s \
                 > seconds / 2:
             break
-    for index, result in enumerate(untraced[cycle:], start=cycle):
-        _sim_check(untraced[index % cycle], result, errors)
+    for result in untraced[1:]:
+        _sim_check(untraced[0], result, errors)
     for result in untraced + traced:
         errors += result.errors
     metrics = {name: statistics.median(row[name] for row in layers)
@@ -306,6 +310,20 @@ def run_traced(workload, seconds: float, seed: int) -> tuple:
     attempted = sum(p.attempted for p in untraced + traced)
     info = {"pairs": len(traced), "tail_attribution": tails}
     return metrics, attempted, errors, info
+
+
+#: Fresh-interpreter imports and workload set-ups per run; ``setup_s``
+#: adds the median of each.  Nine rather than five: on a shared host
+#: single set-ups fall into fast and slow phases, and with five the
+#: median of a run flipped between the two.
+SETUPS = 9
+
+
+#: Fresh-interpreter imports and workload set-ups per run; ``setup_s``
+#: adds the median of each.  Nine rather than five: on a shared host
+#: single set-ups fall into fast and slow phases, and with five the
+#: median of a run flipped between the two.
+SETUPS = 9
 
 
 def _import_seconds() -> float:
@@ -322,12 +340,12 @@ def run_one(args) -> int:
     """One workload, one run, one JSON result line."""
     _prepare_imports()
     spec = json.loads(SPEC.read_text())
-    import_s = statistics.median(_import_seconds() for _ in range(5))
+    import_s = statistics.median(_import_seconds() for _ in range(SETUPS))
     from perfbench import workloads
 
     setups = []
     workload = None
-    for _ in range(5):
+    for _ in range(SETUPS):
         workload = workloads.make(args.workload, args.seed, tiny=args.tiny)
         t0 = time.perf_counter()
         workload.setup()

@@ -1,20 +1,26 @@
 """The three workloads: inputs, set-up, one measured pass, output checks.
 
 A *pass* is one complete, deterministic replay of a workload's inputs
-on a freshly built stack.  Every pass at one seed must produce the same
-simulated outputs (the pass digest) and the same ``repro.perf`` counts;
-the runner repeats passes for the measured duration and compares them.
+on a freshly built stack.  Every pass of a run replays the same inputs,
+so every pass must produce the same simulated outputs (the pass digest)
+and the same ``repro.perf`` counts; the runner repeats passes for the
+measured duration and compares them.  A pass also times each of its
+units of work (a request, an arrival) in the same order every time, so
+the runner can take each unit's least time over the passes.
 
 Process-global state is reset at the start of every pass, so each pass
 starts from the same state: the ``repro.perf.PERF`` counters and the
 cost memos of ``repro.core.manager`` are cleared (cold, as in a fresh
-process).  Interpreter warm-up (lazy imports, first-call costs) is paid
-once by the untimed warm-up pass in :meth:`Workload.setup`.
+process), and a full collection empties the collector's generations so
+its pauses fall at the same points of every pass.  Interpreter warm-up
+(lazy imports, first-call costs) is paid once by the untimed warm-up
+pass in :meth:`Workload.setup`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import hashlib
 import json
 import random
@@ -45,6 +51,7 @@ def reset_process_state() -> None:
     PERF.reset()
     for name in _GLOBAL_MEMOS:
         getattr(manager_module, name).clear()
+    gc.collect()
 
 
 def digest(obj) -> str:
@@ -61,9 +68,14 @@ class PassResult:
     wall_s: float
     #: tasks submitted.
     tasks: int
-    #: per-submit latencies in host seconds.
+    #: per-submit latencies in host seconds, in submission order.
     latencies_s: list[float]
-    #: simulated outcome metrics (deterministic per seed).
+    #: host seconds of each unit of work (svc: each request of the plan
+    #: with its client-side handling; batch: each task's arrival and the
+    #: simulation up to the next one), in order; they add up to
+    #: ``wall_s``.
+    op_s: list[float]
+    #: the simulated end-to-end metrics (deterministic per seed).
     sim: dict
     #: hash of the simulated outputs (deterministic per seed).
     digest: str
@@ -83,9 +95,6 @@ class Workload:
     name = ""
     #: passes every run makes, whatever the time budget.
     min_passes = 1
-    #: whether every pass replays the same inputs (else pass ``i`` has
-    #: its own inputs, and only a repeat of ``i`` must match it).
-    repeats_passes = True
     #: seconds :func:`repro.service.checkpoint.restore` took in
     #: :meth:`final_checks` (0 where nothing is restored).
     restore_s = 0.0
@@ -93,12 +102,6 @@ class Workload:
     def __init__(self, seed: int, tiny: bool = False) -> None:
         self.seed = seed
         self.tiny = tiny
-
-    @property
-    def cycle(self) -> int:
-        """Passes before the inputs repeat: pass ``i`` replays pass
-        ``i % cycle``."""
-        return 1 if self.repeats_passes else self.min_passes
 
     def inputs_digest(self) -> str:
         """Hash of the generated inputs (equal for equal seeds)."""
@@ -108,14 +111,9 @@ class Workload:
         """Generate inputs, build and warm the stack (timed as set-up)."""
         raise NotImplementedError
 
-    def run_pass(self, index: int = 0,
-                 tracer: Tracer | None = None) -> PassResult:
-        """Measured pass number ``index``; ``tracer`` when tracing."""
+    def run_pass(self, tracer: Tracer | None = None) -> PassResult:
+        """One measured pass; ``tracer`` when tracing."""
         raise NotImplementedError
-
-    def sim_metrics(self, passes: list[PassResult]) -> dict:
-        """The simulated end-to-end metrics of a run's passes."""
-        return passes[0].sim
 
     def final_checks(self) -> list[str]:
         """Checks that run once per run, after the first pass."""
@@ -132,7 +130,7 @@ SVC_CONFIG = dict(device="XC2S15", fleet_size=2, queue="priority",
                   defrag="on-failure", max_queue_depth=16)
 SVC_TENANTS = ("alice", "bob", "carol")
 #: Submissions per pass, the tiny size of the self-test, and the passes
-#: every run makes (about 40 s on a 2-core x86-64 VM).
+#: every run makes (about 36 s on a 2-core x86-64 VM).
 SVC_SUBMISSIONS = 3000
 SVC_TINY = 120
 SVC_PASSES = 8
@@ -253,8 +251,7 @@ class ServiceWorkload(Workload):
         asyncio.run(self._replay(self.trace, warm[:cut] + [
             ("checkpoint",), ("settle",)]))
 
-    def run_pass(self, index: int = 0,
-                 tracer: Tracer | None = None) -> PassResult:
+    def run_pass(self, tracer: Tracer | None = None) -> PassResult:
         reset_process_state()
         return asyncio.run(self._replay(self.trace, self.plan, tracer,
                                         keep=self._mid_snapshot is None))
@@ -312,8 +309,10 @@ class ServiceWorkload(Workload):
                 errors.append(f"{method} {path}: status {status}")
             return status, payload, elapsed
 
-        started = perf_counter()
+        # marks[i] is when op i began; the last mark ends the pass.
+        marks: list[float] = []
         for op in plan:
+            marks.append(perf_counter())
             kind = op[0]
             if kind == "submit":
                 submission = trace[op[1]]
@@ -371,7 +370,7 @@ class ServiceWorkload(Workload):
                 status, _, _ = await call("settle", "POST", "/clock/settle")
                 if status is not None and status != 200:
                     errors.append(f"settle: status {status}")
-        wall = perf_counter() - started
+        marks.append(perf_counter())
         if tracer is not None:
             tracer.pop()
 
@@ -406,9 +405,10 @@ class ServiceWorkload(Workload):
             "refused_frac": refused / submissions if submissions else 0.0,
         }
         return PassResult(
-            wall_s=wall,
+            wall_s=marks[-1] - marks[0],
             tasks=submissions,
             latencies_s=latencies,
+            op_s=[end - start for start, end in zip(marks, marks[1:])],
             sim=sim,
             digest=digest([engine.journal, engine.telemetry, statuses]),
             perf=PERF.snapshot(),
@@ -451,44 +451,43 @@ class ServiceWorkload(Workload):
 
 # -- batch workloads ------------------------------------------------------------
 
-#: Heavy-tail stream parameters shared by the batch workloads.  A mean
-#: inter-arrival of 0.03 s keeps every seed deep in overload: between an
-#: idle fabric and overload these streams are bistable (some seeds
-#: collapse into a port-bound backlog, others never contend), and host
-#: time and outcomes then swing by 2x from seed to seed.
+#: Mean inter-arrival of the heavy-tail stream.  0.03 s keeps every seed
+#: deep in overload: between an idle fabric and overload these streams
+#: are bistable (some seeds collapse into a port-bound backlog, others
+#: never contend), and host time and outcomes then swing by 2x from seed
+#: to seed.
 BATCH_MEAN_INTERARRIVAL = 0.03
+#: Queueing patience of every batch task, in simulated seconds.
 BATCH_MAX_WAIT = 8.0
 
 
 @dataclass(frozen=True)
 class BatchShape:
-    """One batch workload: groups of seeded campaign scenarios."""
+    """One batch workload: a group of seeded campaign scenarios."""
 
     device: str
     queue: str
     ports: str
     size_range: tuple[int, int]
+    #: the ``repro.sched.workload`` stream and its mean inter-arrival.
+    workload: str
+    mean_interarrival: float
     #: tasks per scenario, scenarios per pass, and the passes every run
-    #: makes (the simulated metrics pool exactly these passes).
+    #: makes.
     n: int
-    per_pass: int
+    scenarios: int
     passes: int
 
 
 class BatchWorkload(Workload):
-    """``run_scenario`` over groups of seeded heavy-tail streams.
+    """``run_scenario`` over a group of seeded task streams.
 
-    Pass ``i`` runs its own group of ``per_pass`` scenarios, whose seeds
-    derive from the workload seed and ``i``; a run measures whole cycles
-    of the ``passes`` groups, so every run covers the same scenarios in
-    the same proportions.  Host metrics pool every pass of the run; the
-    simulated metrics pool the first cycle.  Submit latency is the
-    host time of ``SchedulingKernel.enqueue`` for each arriving task:
-    the admission pass the task's arrival triggers, the batch
-    counterpart of the service's ``POST /tasks``.
+    Every pass runs the same ``scenarios`` scenarios, whose seeds derive
+    from the workload seed.  Submit latency is the host time of
+    ``SchedulingKernel.enqueue`` for each arriving task: the admission
+    pass the task's arrival triggers, the batch counterpart of the
+    service's ``POST /tasks``.
     """
-
-    repeats_passes = False
 
     def __init__(self, name: str, shape: BatchShape, seed: int,
                  tiny: bool = False) -> None:
@@ -496,24 +495,23 @@ class BatchWorkload(Workload):
         self.name = name
         self.shape = shape
         self.n = 30 if tiny else shape.n
-        self.per_pass = 1 if tiny else shape.per_pass
+        self.scenarios = 1 if tiny else shape.scenarios
         self.min_passes = 1 if tiny else shape.passes
 
-    def _specs(self, index: int, n: int | None = None) -> list[ScenarioSpec]:
-        """The scenarios of pass ``index``."""
+    def _specs(self, n: int | None = None) -> list[ScenarioSpec]:
+        """The scenarios of a pass."""
         shape = self.shape
         params = normalize_params({
             "n": n or self.n, "size_range": shape.size_range,
             "priority_levels": 3, "max_wait": BATCH_MAX_WAIT,
-            "mean_interarrival": BATCH_MEAN_INTERARRIVAL,
+            "mean_interarrival": shape.mean_interarrival,
         })
-        first = self.seed * 1000 + index * self.per_pass
         return [
             ScenarioSpec(device=shape.device, policy="concurrent",
-                         workload="heavy-tail", seed=first + k,
+                         workload=shape.workload, seed=self.seed * 1000 + k,
                          queue=shape.queue, ports=shape.ports,
                          workload_params=params)
-            for k in range(self.per_pass)
+            for k in range(self.scenarios)
         ]
 
     def inputs_digest(self) -> str:
@@ -522,40 +520,43 @@ class BatchWorkload(Workload):
 
         dev = device_by_name(self.shape.device)
         rows = []
-        for index in range(self.min_passes):
-            for spec in self._specs(index):
-                for task in make_workload(spec.workload, dev, spec.seed,
-                                          **spec.params()):
-                    rows.append((task.arrival, task.height, task.width,
-                                 task.exec_seconds, task.priority))
+        for spec in self._specs():
+            for task in make_workload(spec.workload, dev, spec.seed,
+                                      **spec.params()):
+                rows.append((task.arrival, task.height, task.width,
+                             task.exec_seconds, task.priority))
         return digest(rows)
 
     def setup(self) -> None:
         self.inputs_digest()
         reset_process_state()
-        run_scenario(self._specs(0, n=20)[0])
+        run_scenario(self._specs(n=20)[0])
 
-    def run_pass(self, index: int = 0,
-                 tracer: Tracer | None = None) -> PassResult:
+    def run_pass(self, tracer: Tracer | None = None) -> PassResult:
         reset_process_state()
-        specs = self._specs(index)
+        specs = self._specs()
         latencies: list[float] = []
         original = SchedulingKernel.__dict__["enqueue"]
         perf_counter = time.perf_counter
 
         def timed_enqueue(kernel, *args, **kwargs):
             started = perf_counter()
+            marks.append(started)
             original(kernel, *args, **kwargs)
             latencies.append(perf_counter() - started)
 
         SchedulingKernel.enqueue = timed_enqueue
         results = []
+        # marks split the pass at each scenario's start and each task's
+        # arrival: a unit of work is one arrival and the simulation up to
+        # the next one.
+        marks: list[float] = []
         try:
             if tracer is not None:
                 scenario = tracer.name_id("campaign.run_scenario")
                 tracer.push(tracer.name_id("bench.pass"))
-            started = perf_counter()
             for k, spec in enumerate(specs):
+                marks.append(perf_counter())
                 if tracer is not None:
                     tracer.request = k + 1
                     tracer.push(scenario)
@@ -564,7 +565,7 @@ class BatchWorkload(Workload):
                 finally:
                     if tracer is not None:
                         tracer.pop()
-            wall = perf_counter() - started
+            marks.append(perf_counter())
             if tracer is not None:
                 tracer.pop()
         finally:
@@ -585,46 +586,46 @@ class BatchWorkload(Workload):
             row = result.to_row()
             row.pop("wall_seconds")
             rows.append(row)
+        finished = sum(r.finished for r in results)
         sim = {
-            "tasks": total,
-            "rejected": sum(r.rejected + r.dropped for r in results),
-            "finished": sum(r.finished for r in results),
-            "wait_sum": sum(r.mean_waiting * r.finished for r in results),
-            "frag_sum": sum(r.mean_fragmentation for r in results),
-            "scenarios": len(results),
-        }
-        return PassResult(
-            wall_s=wall, tasks=total, latencies_s=latencies, sim=sim,
-            digest=digest(rows), perf=PERF.snapshot(), errors=errors,
-            attempted=len(results),
-        )
-
-    def sim_metrics(self, passes: list[PassResult]) -> dict:
-        """Pool the first ``min_passes`` passes (scenario-weighted frag,
-        finished-weighted wait)."""
-        parts = [p.sim for p in passes[:self.min_passes]]
-        total = sum(p["tasks"] for p in parts)
-        finished = sum(p["finished"] for p in parts)
-        return {
-            "sim_rejected_frac": sum(p["rejected"] for p in parts) / total,
-            "sim_mean_wait_s": (sum(p["wait_sum"] for p in parts) / finished
+            "sim_rejected_frac": (sum(r.rejected + r.dropped for r in results)
+                                  / total),
+            "sim_mean_wait_s": (sum(r.mean_waiting * r.finished
+                                    for r in results) / finished
                                 if finished else 0.0),
-            "sim_mean_frag": (sum(p["frag_sum"] for p in parts)
-                              / sum(p["scenarios"] for p in parts)),
+            "sim_mean_frag": (sum(r.mean_fragmentation for r in results)
+                              / len(results)),
             "refused_frac": 0.0,
         }
+        return PassResult(
+            wall_s=marks[-1] - marks[0], tasks=total, latencies_s=latencies,
+            op_s=[end - start for start, end in zip(marks, marks[1:])],
+            sim=sim, digest=digest(rows), perf=PERF.snapshot(),
+            errors=errors, attempted=len(results),
+        )
 
 
-#: Batch workload shapes by name.  ``batch-fifo-v1000`` runs but is not
-#: gated in ``BENCHMARK.json``: its run-to-run spread on a shared 2-core
-#: machine is wider than the largest bound the benchmark may set.
+#: Batch workload shapes by name.  ``batch-backfill-v200`` replays
+#: uniform service times (the ``random`` stream): one heavy-tail scenario
+#: differs from the next in host time by about 48 % (one standard
+#: deviation), a uniform one by about 25 %, so the same run length holds
+#: a steadier sample of the planner's work.  Its run holds as many
+#: scenarios as two passes allow, because the scenarios a seed draws
+#: move its metrics more than the host does.  ``batch-fifo-v1000`` runs
+#: but is not gated in ``BENCHMARK.json``: its run-to-run spread on a
+#: shared 2-core machine is wider than the largest bound the benchmark
+#: may set.
 BATCH_SHAPES = {
     "batch-backfill-v200": BatchShape(
         device="XCV200", queue="backfill", ports="icap",
-        size_range=(3, 10), n=300, per_pass=4, passes=10),
+        size_range=(3, 10), workload="random",
+        mean_interarrival=BATCH_MEAN_INTERARRIVAL, n=300, scenarios=30,
+        passes=2),
     "batch-fifo-v1000": BatchShape(
         device="XCV1000", queue="fifo", ports="serial",
-        size_range=(7, 22), n=200, per_pass=5, passes=3),
+        size_range=(7, 22), workload="heavy-tail",
+        mean_interarrival=BATCH_MEAN_INTERARRIVAL, n=200, scenarios=15,
+        passes=2),
 }
 
 
