@@ -32,10 +32,11 @@ import numpy as np
 from repro.device.geometry import Rect
 from repro.perf import PERF
 from repro.placement.bitgrid import (
-    clear_rect,
+    anchor_extents,
     first_fit_bits,
+    first_fit_packed,
     pack_free_rows,
-    set_rect,
+    pack_grid,
     span_mask,
 )
 from repro.placement.compaction import (
@@ -48,9 +49,21 @@ from repro.placement.compaction import (
 )
 from repro.placement.free_space import largest_empty_rectangle
 
-#: Distinct-from-everything sentinel for memo lookups whose values may
-#: legitimately be ``None``.
-_MISS = object()
+#: Stored extents of a (blocker set, shape) pair with no anchor at all:
+#: larger than any window coordinate, so no window test passes.
+_NO_ANCHOR = 1 << 30
+
+#: Screen batches with fewer candidate windows than this run in plain
+#: Python on the packed grid (:meth:`DefragPlanner._screen_scalar`); larger
+#: ones run as numpy slabs (:meth:`DefragPlanner._screen_slab`).  Both
+#: give the same verdicts and share one cache.  The slab's fixed cost,
+#: some fifty array operations, only pays off over many windows.  Timed
+#: on one core of a shared x86-64 host with a cold cache, the two paths
+#: break even near 20 windows on XCV200 (28 x 42) and near 55 on XC2S15
+#: (8 x 12), whose packed integers are smaller; 32 lies between.  Service
+#: calls on XC2S15 screen 4 to 30 windows and campaign calls on XCV200
+#: at least 129, so each runs its faster path.
+SCREEN_SLAB_MIN = 32
 
 
 @dataclass
@@ -95,25 +108,11 @@ class DefragPlanner:
         #: disturb more functions than a reactive plan is allowed to.
         self.max_consolidation_moves = max_consolidation_moves
         #: per-occupancy-generation shared state (see :meth:`plan`):
-        #: packed rows, footprints, compaction results and finished
-        #: plans, all pure functions of the grid named by the token.
+        #: packed rows, footprints, compaction results, the eviction
+        #: state with its screen cache, and finished plans, all pure
+        #: functions of the grid named by the token.
         self._cache_token: object = None
         self._shared: dict | None = None
-        #: content-addressed L2 for the shared state: every entry in the
-        #: per-token dict is a pure function of the occupancy *bytes*, so
-        #: when the fabric revisits an earlier layout bit-for-bit (place
-        #: then finish restores the grid; admission streams do this for
-        #: well over half their planning rounds) the whole dict — packed
-        #: rows, footprints, compaction sweeps, screens, finished plans —
-        #: is replayed instead of recomputed.  Bounded; cleared wholesale
-        #: when full (entries are cheap to rebuild).
-        self._grid_states: dict[bytes, dict] = {}
-        #: pooled scratch arrays for the vectorised screen, keyed by the
-        #: (rows, windows) working-set shape.  ``pop``/reinsert keeps
-        #: concurrent callers from sharing a buffer.
-        self._screen_scratch: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
 
     def plan(self, occupancy: np.ndarray, height: int, width: int,
              token: object = None) -> RearrangementPlan | None:
@@ -132,7 +131,7 @@ class DefragPlanner:
         planner run per distinct shape.  Without a token every call
         computes from scratch.
         """
-        shared = self._shared_state(token, occupancy)
+        shared = self._shared_state(token)
         if shared is not None and (height, width) in shared["plans"]:
             return shared["plans"][height, width]
         result = self._plan_uncached(occupancy, height, width, shared)
@@ -140,28 +139,13 @@ class DefragPlanner:
             shared["plans"][height, width] = result
         return result
 
-    def _shared_state(self, token: object,
-                      occupancy: np.ndarray) -> dict | None:
-        """The per-token scratch dict (fresh when the token moved).
-
-        A token change re-keys the dict by the occupancy *content*
-        (:attr:`_grid_states`): distinct tokens naming bit-identical
-        grids — the same engine after a place/finish round trip, or two
-        fleet members in the same layout — share one dict, and every
-        entry (being a pure function of the grid) replays exactly.
-        """
+    def _shared_state(self, token: object) -> dict | None:
+        """The per-token scratch dict (fresh when the token moved)."""
         if token is None:
             return None
         if self._cache_token != token:
             self._cache_token = token
-            key = occupancy.tobytes()
-            shared = self._grid_states.get(key)
-            if shared is None:
-                if len(self._grid_states) >= 64:
-                    self._grid_states.clear()
-                shared = {"plans": {}, "compaction": {}, "screens": {}}
-                self._grid_states[key] = shared
-            self._shared = shared
+            self._shared = {"plans": {}, "compaction": {}}
         return self._shared
 
     def plan_prefetch(self, occupancy: np.ndarray,
@@ -174,13 +158,13 @@ class DefragPlanner:
         calls that follow are memo hits.  The answers are identical to
         per-shape calls — the batch merely shares the shape-independent
         work and runs **one** eviction screen over the concatenated
-        candidate windows of every shape instead of one vectorised pass
-        per shape (the screen's cost is dominated by per-op dispatch,
-        not array size).
+        candidate windows of every shape instead of one screen per shape
+        (a screen's fixed cost is per-op dispatch, and the shapes share
+        most of their blocker sets).
         """
         if token is None:
             return
-        shared = self._shared_state(token, occupancy)
+        shared = self._shared_state(token)
         memo = shared["plans"]
         todo: list[tuple[int, int]] = []
         for shape in shapes:
@@ -208,7 +192,7 @@ class DefragPlanner:
             return
         prints = self._token_prints(occupancy, shared)
         evictions = self._eviction_batch(
-            occupancy, prints, row_bits, evict_shapes, shared
+            occupancy, prints, evict_shapes, shared
         )
         for height, width in evict_shapes:
             memo[height, width] = self._assemble(
@@ -250,9 +234,9 @@ class DefragPlanner:
         if sum(b.bit_count() for b in row_bits) < height * width:
             return None
         prints = self._token_prints(occupancy, shared)
-        eviction = self._eviction_plan(
-            occupancy, prints, row_bits, height, width, shared
-        )
+        eviction = self._eviction_batch(
+            occupancy, prints, [(height, width)], shared
+        )[height, width]
         return self._assemble(
             prints, row_bits, height, width, shared, eviction
         )
@@ -371,40 +355,53 @@ class DefragPlanner:
                 )
         return plans
 
-    @staticmethod
-    def _evict_state(occupancy: np.ndarray, prints: dict[int, Rect],
+    def _evict_state(self, occupancy: np.ndarray, prints: dict[int, Rect],
                      shared: dict | None) -> dict:
-        """Shape-independent arrays the eviction scan reads per call.
+        """Shape-independent inputs of the eviction search.
 
-        Everything here is a pure function of the occupancy grid (the
-        footprint coordinate columns, the packed free-space rows, each
-        blocker's per-row span masks and the sorted unique blocker
-        shapes), so within one planner token the whole bundle is built
-        once and every probed shape reuses it.
+        Everything here is a pure function of the occupancy grid: the
+        footprint coordinate columns, the grid packed into one integer
+        with each blocker's packed footprint (for :meth:`_evict_moves`),
+        and, on grids up to 64 columns, the uint64 row masks, the unique
+        blocker shapes and the screen's blocker-set cache (for
+        :meth:`_screen_windows`).  Within one planner token the bundle
+        is built once and every probed shape reuses it.
         """
         if shared is not None and "evict" in shared:
             return shared["evict"]
         print_items = list(prints.items())
-        count = len(print_items)
-        pr = np.fromiter((kv[1].row for kv in print_items),
-                         dtype=np.int64, count=count)
-        pc = np.fromiter((kv[1].col for kv in print_items),
-                         dtype=np.int64, count=count)
-        ph = np.fromiter((kv[1].height for kv in print_items),
-                         dtype=np.int64, count=count)
-        pw = np.fromiter((kv[1].width for kv in print_items),
-                         dtype=np.int64, count=count)
+        prl = [rect.row for _, rect in print_items]
+        pcl = [rect.col for _, rect in print_items]
+        phl = [rect.height for _, rect in print_items]
+        pwl = [rect.width for _, rect in print_items]
+        pr, pc, ph, pw = (np.array(v, dtype=np.int64)
+                          for v in (prl, pcl, phl, pwl))
+        rows, cols = occupancy.shape
+        # Row-major packing with a zero guard column after every row
+        # (see :func:`~repro.placement.bitgrid.first_fit_packed`);
+        # ``reps[h]`` has bit 0 of ``h`` consecutive rows set.
+        stride = cols + 1
+        reps = [0]
+        for h in range(rows):
+            reps.append(reps[-1] | 1 << (h * stride))
         state = {
             "print_items": print_items,
             "pr": pr, "pc": pc, "ph": ph, "pw": pw,
-            "areas": ph * pw,
+            "areas": [h * w for h, w in zip(phl, pwl)],
             # Plain-list mirrors for the per-shape anchor dedup in
             # :meth:`_eviction_windows` — the candidate sets are a few
             # dozen ints, where a Python set beats array machinery.
-            "coord_lists": (pr.tolist(), pc.tolist(),
-                            ph.tolist(), pw.tolist()),
+            "coord_lists": (prl, pcl, phl, pwl),
+            "rows": rows,
+            "stride": stride,
+            "reps": reps,
+            "packed": pack_grid(self._token_row_bits(occupancy, shared),
+                                stride),
+            "blocker_masks": [
+                ((1 << w) - 1) * reps[h] << (r * stride + c)
+                for r, c, h, w in zip(prl, pcl, phl, pwl)
+            ],
         }
-        rows, cols = occupancy.shape
         if cols <= 64:
             packed = np.packbits(occupancy == 0, axis=1,
                                  bitorder="little")
@@ -417,26 +414,25 @@ class DefragPlanner:
             covers = (pr[:, None] <= rows_idx[None, :]) \
                 & (rows_idx[None, :] < pr[:, None] + ph[:, None])
             blocker_rows = np.where(covers, spans[:, None], np.uint64(0))
-            state["blocker_rows"] = blocker_rows
-            # Span sums stay exact in float64 up to 2^53, so narrow
-            # grids can fold member masks through BLAS (see
-            # :meth:`_screen_windows`).
-            state["blocker_f"] = (blocker_rows.astype(np.float64)
-                                  if cols <= 52 else None)
-            # Unique blocker shapes, ascending (height, width): the
-            # screen's band/anchor reductions grow incrementally in
-            # exactly that order.
-            key = ph * np.int64(65) + pw
-            uniq_key, inv = np.unique(key, return_inverse=True)
-            state["uh"] = uniq_key // 65
-            state["uw"] = uniq_key % 65
-            state["inv"] = inv
-            # Footprint -> shape one-hot, so the screen can map a
-            # window/blocker membership matrix onto the (much smaller)
-            # set of windows each *shape* actually blocks.
-            onehot = np.zeros((count, len(uniq_key)), dtype=np.int64)
-            onehot[np.arange(count), inv] = 1
-            state["shape_onehot"] = onehot
+            # Both 32-bit halves of every span mask as float64: a sum of
+            # disjoint sub-2^32 masks is exact, so the slab screen lifts
+            # many blocker sets at once through two BLAS products.
+            state["blocker_lo"] = (blocker_rows & np.uint64(0xFFFFFFFF)) \
+                .astype(np.float64)
+            state["blocker_hi"] = (blocker_rows >> np.uint64(32)) \
+                .astype(np.float64)
+            # Unique blocker shapes, ascending, and each footprint's.
+            shapes = sorted(set(zip(phl, pwl)))
+            index = {shape: i for i, shape in enumerate(shapes)}
+            state["shapes"] = shapes
+            state["inv"] = [index[shape] for shape in zip(phl, pwl)]
+            state["uh"] = np.array([h for h, _ in shapes], dtype=np.int64)
+            state["uw"] = np.array([w for _, w in shapes], dtype=np.int64)
+            # The screen's cache: blocker set (its packed member row) ->
+            # id, and per (id, shape) pair a stored-flag and extents row.
+            state["set_ids"] = {}
+            state["known"] = np.zeros(0, dtype=bool)
+            state["extents"] = np.empty((0, 4), dtype=np.int64)
         if shared is not None:
             shared["evict"] = state
         return state
@@ -501,145 +497,59 @@ class DefragPlanner:
             np.tile(ca, len(ra))[valid],
         )
 
-    def _eviction_plan(self, occupancy: np.ndarray,
-                       prints: dict[int, Rect], base_bits: list[int],
-                       height: int, width: int,
-                       shared: dict | None = None,
-                       ) -> RearrangementPlan | None:
-        """Try target windows anchored at 'corner points' (edges of the
-        device and of resident footprints); relocate exactly the
-        overlapping functions into remaining free space.
-
-        The candidate scan is reorganised for speed without changing the
-        winner.  The plan key is lexicographic with the disturbance
-        count first, so a window disturbing fewer functions always beats
-        one disturbing more: windows are bucketed by blocker count
-        (counted for the whole anchor grid in one vectorised pass) and
-        evaluated strictly lightest-bucket-first.  A vectorised bitmask
-        screen (:meth:`_screen_windows`) then discards every window
-        containing a blocker with no relocation spot — every window
-        whose per-window eviction attempt would fail on some placement —
-        so the sequential spot search only runs on the rare survivors.
-        """
-        rows, cols = occupancy.shape
-        if height > rows or width > cols or not prints:
-            return None
-        state = self._evict_state(occupancy, prints, shared)
-        survivors = self._screened_windows(
-            occupancy, state, height, width, shared
-        )
-        if survivors is None:
-            return None
-        member, n_w, wr, wc = survivors
-        return self._eviction_select(
-            occupancy, state, base_bits, member, n_w, wr, wc,
-            height, width,
-        )
-
-    def _screened_windows(
-        self, occupancy: np.ndarray, state: dict, height: int,
-        width: int, shared: dict | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """One shape's screen survivors, memoised per planner token.
-
-        The keep-set is a pure function of (occupancy grid, shape) — the
-        token names the grid via the free-space generation, so within a
-        token the candidate windows and their screen verdicts are
-        computed once per shape and replayed on every later probe
-        (``screen_cache_hits`` counts the replays).
-        """
-        if shared is not None:
-            hit = shared["screens"].get((height, width), _MISS)
-            if hit is not _MISS:
-                PERF.screen_cache_hits += 1
-                return hit
-            PERF.screen_cache_misses += 1
-        win = self._eviction_windows(occupancy, state, height, width)
-        if win is None:
-            result = None
-        else:
-            member, n_w, wr, wc = win
-            keeps = self._screen_windows(
-                occupancy, state, [(member, wr, wc, height, width)],
-            )
-            if keeps is None:
-                result = win
-            elif not keeps[0].any():
-                result = None
-            else:
-                keep = keeps[0]
-                result = (
-                    member[keep], n_w[keep], wr[keep], wc[keep]
-                )
-        if shared is not None:
-            shared["screens"][height, width] = result
-        return result
-
     def _eviction_batch(
         self, occupancy: np.ndarray, prints: dict[int, Rect],
-        base_bits: list[int], shapes: list[tuple[int, int]],
-        shared: dict | None,
+        shapes: list[tuple[int, int]], shared: dict | None,
     ) -> dict[tuple[int, int], RearrangementPlan | None]:
-        """:meth:`_eviction_plan` for many shapes, one screen pass.
+        """The eviction plan of each shape, over one screen pass.
 
-        Every shape's candidate windows are built as usual, then the
-        feasibility screen runs once over their concatenation — its
-        per-window verdicts do not depend on what other windows are in
-        the batch, so each shape's survivors (and hence its plan) are
-        identical to a per-shape call.
+        Tries target windows anchored at 'corner points' (edges of the
+        device and of resident footprints) and relocates exactly the
+        overlapping functions into remaining free space.  Every shape's
+        candidate windows are built as usual, then the feasibility
+        screen (:meth:`_screen_windows`) runs once over their
+        concatenation and discards every window holding a blocker with
+        no relocation spot; the sequential spot search
+        (:meth:`_eviction_select`) only runs on the survivors.  A
+        window's verdict does not depend on the other windows in the
+        batch, so each shape's plan is identical to a one-shape call.
         """
         rows, cols = occupancy.shape
         results: dict[tuple[int, int], RearrangementPlan | None] = {}
+        if not prints:
+            return dict.fromkeys(shapes)
         state = self._evict_state(occupancy, prints, shared)
-        screens = shared["screens"] if shared is not None else None
-        survivors: dict[tuple[int, int], tuple | None] = {}
-        groups: list[tuple] = []
         wins: dict[tuple[int, int], tuple] = {}
         for height, width in shapes:
-            if screens is not None:
-                hit = screens.get((height, width), _MISS)
-                if hit is not _MISS:
-                    PERF.screen_cache_hits += 1
-                    survivors[height, width] = hit
-                    continue
-                PERF.screen_cache_misses += 1
-            if height > rows or width > cols or not prints:
-                survivors[height, width] = None
-                continue
-            win = self._eviction_windows(occupancy, state, height, width)
-            if win is None:
-                survivors[height, width] = None
-                continue
-            wins[height, width] = win
-            groups.append((win[0], win[2], win[3], height, width))
-        if wins:
-            keeps = self._screen_windows(occupancy, state, groups)
-            for g, (height, width) in enumerate(wins):
-                member, n_w, wr, wc = wins[height, width]
-                if keeps is None:
-                    survivors[height, width] = (member, n_w, wr, wc)
-                elif not keeps[g].any():
-                    survivors[height, width] = None
-                else:
-                    keep = keeps[g]
-                    survivors[height, width] = (
-                        member[keep], n_w[keep], wr[keep], wc[keep]
-                    )
-        for (height, width), win in survivors.items():
-            if screens is not None and (height, width) not in screens:
-                screens[height, width] = win
+            win = None
+            if height <= rows and width <= cols:
+                win = self._eviction_windows(occupancy, state, height, width)
             if win is None:
                 results[height, width] = None
-                continue
+            else:
+                wins[height, width] = win
+        if not wins:
+            return results
+        keeps = self._screen_windows(occupancy, state, [
+            (win[0], win[2], win[3], height, width)
+            for (height, width), win in wins.items()
+        ])
+        for g, ((height, width), win) in enumerate(wins.items()):
             member, n_w, wr, wc = win
+            if keeps is not None:
+                keep = keeps[g]
+                if not keep.any():
+                    results[height, width] = None
+                    continue
+                member, n_w, wr, wc = (member[keep], n_w[keep],
+                                       wr[keep], wc[keep])
             results[height, width] = self._eviction_select(
-                occupancy, state, base_bits, member, n_w, wr, wc,
-                height, width,
+                occupancy, state, member, n_w, wr, wc, height, width,
             )
         return results
 
     def _eviction_select(
-        self, occupancy: np.ndarray, state: dict, base_bits: list[int],
+        self, occupancy: np.ndarray, state: dict,
         member: np.ndarray, n_w: np.ndarray, wr: np.ndarray,
         wc: np.ndarray, height: int, width: int,
     ) -> RearrangementPlan | None:
@@ -660,8 +570,7 @@ class DefragPlanner:
         reached before a winner pay for their move lists, which is most
         of the eviction cost on rejection-heavy streams.
         """
-        print_items = state["print_items"]
-        areas = state["areas"].tolist()
+        areas = state["areas"]
         # Survivor counts are tiny after the screen (a handful per
         # shape), so the walk runs on plain Python containers — per-
         # bucket numpy dispatches would dominate the actual work.
@@ -681,8 +590,7 @@ class DefragPlanner:
             if bucket == 1:
                 pos += 1
                 target = Rect(wr_l[seq], wc_l[seq], height, width)
-                blockers = [print_items[i] for i in blockers_of[seq]]
-                moves = self._evict_moves(base_bits, blockers, target)
+                moves = self._evict_moves(state, blockers_of[seq], target)
                 if moves is None:
                     continue
                 ordered = sequence_moves(occupancy, moves)
@@ -710,8 +618,8 @@ class DefragPlanner:
                         break
                     g += 1
                     target = Rect(wr_l[seq], wc_l[seq], height, width)
-                    blockers = [print_items[i] for i in blockers_of[seq]]
-                    moves = self._evict_moves(base_bits, blockers, target)
+                    moves = self._evict_moves(state, blockers_of[seq],
+                                              target)
                     if moves is None:
                         continue
                     distance = sum(m.distance for m in moves)
@@ -734,171 +642,253 @@ class DefragPlanner:
         """Which windows could possibly relocate *all* their blockers.
 
         ``groups`` is a list of ``(member, wr, wc, height, width)``
-        window batches — one per probed shape — screened together.
-        Builds every candidate window's vacated grid as one row of
-        uint64 free-column masks (blockers lifted, its group's target
-        reserved) and, per distinct blocker shape, answers "does this
-        shape fit somewhere?" for all windows of all groups at once via
-        shifted-AND band reductions.  The vacated grid over-states the
-        free space at every placement step except the first (earlier
-        relocations only consume sites), so a shape with no spot here
-        has no spot in the real sequential attempt either — the filter
-        never drops a window the per-window eviction search could have
-        used.  Each window's verdict reads only its own row, so batching
-        groups changes nothing but the number of numpy dispatches.
+        window batches, one per probed shape, screened together.
         Returns one boolean keep-mask per group, or ``None`` when the
-        device is too wide for the uint64 fast path (the caller then
-        evaluates every window sequentially).
+        device is wider than 64 columns (the caller then evaluates every
+        window sequentially).
 
-        ``state`` carries the occupancy-only inputs
-        (:meth:`_evict_state`): the packed free rows, per-blocker span
-        masks and the unique blocker shapes sorted ascending, which is
-        exactly the order the band/anchor reductions grow in.
+        A window's eviction attempt places its blockers, one at a time,
+        into the grid with the blockers lifted and the target reserved.
+        Earlier placements only consume sites, so a blocker whose shape
+        has no spot in that vacated grid has none in the real attempt
+        either, and the window can be dropped: the screen never drops a
+        window the sequential search could have used.
+
+        The vacated grid of window ``W`` with blocker set ``B`` is the
+        lifted grid ``base | F_B`` minus ``W``.  A shape fits there
+        exactly when one of its anchors in the lifted grid lies wholly
+        above, below, left of or right of ``W``, which four comparisons
+        against the row and column extents of its anchor set decide.
+        The extents depend on ``(B, shape)`` only, not on the window, so
+        each distinct pair is computed once and stored in the token's
+        eviction state, keyed by the set's exact packed member row;
+        every window is then decided from the stored extents.
+        ``screen_cache_hits`` counts the distinct pairs of a call found
+        stored by an earlier call, ``screen_cache_misses`` the pairs
+        computed.
         """
-        rows, cols = occupancy.shape
-        if cols > 64:
+        if occupancy.shape[1] > 64:
             return None
         member = (groups[0][0] if len(groups) == 1
                   else np.concatenate([g[0] for g in groups], axis=0))
-        # Fold each window's member span masks in one matmul: footprints
-        # are disjoint rectangles, so their masks never share a bit and
-        # summing them IS their union; blocker sites are occupied, hence
-        # never set in the free-space base, so the final merge is a
-        # plain OR.  Narrow grids run the product through BLAS — float64
-        # sums of sub-2^52 masks are exact — wide ones use the integer
-        # path.  Either way the working set stays (windows x rows).
-        blocker_f = state["blocker_f"]
-        if blocker_f is not None:
-            lifted = (member.astype(np.float64) @ blocker_f) \
-                .astype(np.uint64)
-        else:
-            lifted = member.astype(np.uint64) @ state["blocker_rows"]
-        bits = state["base64"][None, :] | lifted
-        # Reserve each group's target window (heights differ per group,
-        # so the span clearing is per-batch).
-        offset = 0
-        bounds: list[slice] = []
-        for gmember, wr, wc, height, width in groups:
-            n = gmember.shape[0]
-            tspan = np.uint64((1 << width) - 1) << wc.astype(np.uint64)
-            rowsel = wr[:, None] + np.arange(height)[None, :]
-            bits[np.arange(offset, offset + n)[:, None], rowsel] \
-                &= ~tspan[:, None]
-            bounds.append(slice(offset, offset + n))
-            offset += n
-        windows = offset
+        windows = member.shape[0]
         PERF.screen_calls += 1
         PERF.screen_windows += windows
-        # One "does shape (h, w) fit anywhere?" bit per (shape, window).
-        # Row bands and column-run anchors both grow *incrementally*
-        # (heights and then widths visited in ascending order — the
-        # sort order of ``uh``/``uw``), so each unit of height or width
-        # costs a single vectorised op over all windows no matter how
-        # many shapes share it.  Shapes of blockers in no window cost
-        # two extra ops here and gate nothing below (their member
-        # columns are all False).  The reductions run transposed —
-        # (rows, windows), windows contiguous — so every slab the ops
-        # touch is a contiguous block of whole rows.  The three
-        # (rows, windows) scratch slabs are pooled per working-set shape
-        # across calls (:attr:`_screen_scratch`) — within one admission
-        # round the batch sizes repeat, so steady state allocates
-        # nothing.
-        scratch = self._screen_scratch.pop((rows, windows), None)
-        if scratch is None:
-            bits_t = np.empty((rows, windows), dtype=np.uint64)
-            bbuf_pool = np.empty_like(bits_t)
-            sbuf = np.empty_like(bits_t)
+        keys = np.packbits(member, axis=1)
+        set_ids = state["set_ids"]
+        sid = [set_ids.setdefault(k, len(set_ids))
+               for k in keys.view(f"V{keys.shape[1]}").ravel().tolist()]
+        need = len(set_ids) * len(state["shapes"])
+        if state["known"].size < need:
+            old = state["known"].size
+            size = max(2 * old, need)
+            known = np.zeros(size, dtype=bool)
+            known[:old] = state["known"]
+            extents = np.empty((size, 4), dtype=np.int64)
+            extents[:old] = state["extents"]
+            state["known"], state["extents"] = known, extents
+        if windows < SCREEN_SLAB_MIN:
+            keep = self._screen_scalar(state, member, sid, groups)
         else:
-            bits_t, bbuf_pool, sbuf = scratch
-        np.copyto(bits_t, bits.T)
-        uh, uw, inv = state["uh"], state["uw"], state["inv"]
-        shapes = len(uh)
-        # Only shapes blocking some window of *this* batch gate a
-        # verdict; skipping the rest caps the band/anchor growth at the
-        # batch's largest active shape.  ``fits`` defaults to True so
-        # the skipped rows (never selected by a True member bit) stay
-        # inert in the verdict gather below.
-        active = sorted(set(inv[member.any(axis=0)].tolist()))
-        fits = np.ones((shapes, windows), dtype=bool)
-        band = bits_t        # AND of rows r..r+covered_h-1 per row r
-        bbuf: np.ndarray | None = None
-        covered_h = 1
-        ai = 0
-        n_active = len(active)
-        while ai < n_active:
-            s = int(active[ai])
-            bh = int(uh[s])
-            while covered_h < bh:
-                n = rows - covered_h
-                if bbuf is None:
-                    bbuf = bbuf_pool
-                    np.bitwise_and(bits_t[:n], bits_t[covered_h:],
-                                   out=bbuf[:n])
-                    band = bbuf
-                else:
-                    np.bitwise_and(band[:n], bits_t[covered_h:],
-                                   out=band[:n])
-                covered_h += 1
-            bandw = rows - bh + 1
-            anchors = band
-            abuf: np.ndarray | None = None
-            covered_w = 1
-            while ai < n_active and int(uh[active[ai]]) == bh:
-                s = int(active[ai])
-                bw = int(uw[s])
-                while covered_w < bw:
-                    shifted = sbuf[:bandw]
-                    np.right_shift(band[:bandw],
-                                   np.uint64(covered_w), out=shifted)
-                    if abuf is None:
-                        abuf = band[:bandw] & shifted
-                        anchors = abuf
-                    else:
-                        np.bitwise_and(abuf, shifted, out=abuf)
-                    covered_w += 1
-                fits[s] = np.bitwise_or.reduce(
-                    anchors[:bandw], axis=0
-                ) != 0
-                ai += 1
-        # A window survives unless it contains a blocker whose shape has
-        # no relocation spot at all.
-        bad = (member & ~fits[inv].T).any(axis=1)
-        if len(self._screen_scratch) >= 8:
-            # Window counts vary per round; don't hoard stale sizes.
-            self._screen_scratch.clear()
-        self._screen_scratch[rows, windows] = (bits_t, bbuf_pool, sbuf)
-        return [~bad[b] for b in bounds]
+            keep = self._screen_slab(state, member, sid, groups)
+        if len(groups) == 1:
+            return [keep]
+        return np.split(keep, np.cumsum([g[0].shape[0] for g in groups])[:-1])
+
+    @staticmethod
+    def _screen_scalar(state: dict, member: np.ndarray, sid: list[int],
+                       groups: list[tuple]) -> np.ndarray:
+        """:meth:`_screen_windows` verdicts, one window at a time.
+
+        A missing pair's extents come from
+        :func:`~repro.placement.bitgrid.anchor_extents` on the packed
+        lifted grid; the stored row is ``(top + height, -bottom,
+        left + width, -right)``, as in :meth:`_pair_extents`.
+        """
+        shapes = state["shapes"]
+        inv = state["inv"]
+        known, extents = state["known"], state["extents"]
+        masks = state["blocker_masks"]
+        stride = state["stride"]
+        blockers: list[list[int]] = [[] for _ in sid]
+        w_idx, p_idx = np.nonzero(member)
+        for w, p in zip(w_idx.tolist(), p_idx.tolist()):
+            blockers[w].append(p)
+        seen: dict[int, list[int]] = {}
+        keep: list[bool] = []
+        w = 0
+        for _, wr, wc, height, width in groups:
+            for top, left in zip(wr.tolist(), wc.tolist()):
+                neg_bottom, neg_right = -(top + height), -(left + width)
+                base = sid[w] * len(shapes)
+                lifted = None
+                clear = True
+                for p in blockers[w]:
+                    code = base + inv[p]
+                    ext = seen.get(code)
+                    if ext is None:
+                        if known[code]:
+                            PERF.screen_cache_hits += 1
+                            ext = extents[code].tolist()
+                        else:
+                            PERF.screen_cache_misses += 1
+                            if lifted is None:
+                                lifted = state["packed"]
+                                for q in blockers[w]:
+                                    lifted |= masks[q]
+                            bh, bw = shapes[inv[p]]
+                            found = anchor_extents(lifted, stride, bh, bw)
+                            ext = ([_NO_ANCHOR] * 4 if found is None else
+                                   [found[0] + bh, -found[1],
+                                    found[2] + bw, -found[3]])
+                            extents[code] = ext
+                            known[code] = True
+                        seen[code] = ext
+                    if clear and not (ext[0] <= top or ext[1] <= neg_bottom
+                                      or ext[2] <= left
+                                      or ext[3] <= neg_right):
+                        clear = False
+                keep.append(clear)
+                w += 1
+        return np.array(keep, dtype=bool)
+
+    def _screen_slab(self, state: dict, member: np.ndarray,
+                     sid: list[int], groups: list[tuple]) -> np.ndarray:
+        """:meth:`_screen_windows` verdicts for a whole batch at once."""
+        windows = member.shape[0]
+        sid_a = np.array(sid, dtype=np.int64)
+        w_idx, p_idx = np.nonzero(member)
+        shapes = len(state["shapes"])
+        codes = sid_a[w_idx] * shapes + np.take(state["inv"], p_idx)
+        ordered = np.sort(codes)
+        fresh = np.empty(ordered.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        pairs = ordered[fresh]
+        known, extents = state["known"], state["extents"]
+        missing = pairs[~known[pairs]]
+        PERF.screen_cache_hits += pairs.size - missing.size
+        PERF.screen_cache_misses += missing.size
+        if missing.size:
+            missing = missing[np.argsort(
+                state["uh"][missing % shapes], kind="stable"
+            )]
+            where = np.empty(len(state["set_ids"]), dtype=np.int64)
+            where[sid_a] = np.arange(windows)
+            extents[missing] = self._pair_extents(
+                state, member[where[missing // shapes]], missing % shapes,
+            )
+            known[missing] = True
+        # Each window as (top, -bottom, left, -right): a stored extents
+        # row at or below it in any column is an anchor clear of it.
+        geom = np.concatenate([
+            np.stack([wr, -(wr + height), wc, -(wc + width)], axis=1)
+            for _, wr, wc, height, width in groups
+        ])
+        hits = np.take(extents, codes, axis=0) \
+            <= np.take(geom, w_idx, axis=0)
+        # Four bools per entry read as one uint32: nonzero iff any holds.
+        clear = hits.view(np.uint32).ravel() != 0
+        bad = np.zeros(windows, dtype=bool)
+        bad[w_idx[~clear]] = True
+        return ~bad
+
+    @staticmethod
+    def _pair_extents(state: dict, sets: np.ndarray,
+                      shape_idx: np.ndarray) -> np.ndarray:
+        """Anchor extents of each (blocker set, shape) pair, in one slab.
+
+        ``sets`` holds one member row per pair and ``shape_idx`` the
+        pair's blocker shape, pairs sorted by shape height.  Each pair's
+        lifted grid (free rows OR its blockers' span masks) is reduced
+        to the anchors of its shape: the band down the rows grows one row
+        at a time over the pairs still needing it, and the run along the
+        columns doubles with a per-pair shift.  Returns rows of
+        ``(top + height, -bottom, left + width, -right)`` over the
+        anchors, so that a window at ``(top, -bottom, left, -right)`` is
+        clear of some anchor iff one column of the row is at most the
+        window's; pairs without anchors get a row no window passes.
+        """
+        rows = state["rows"]
+        heights = state["uh"][shape_idx]
+        widths = state["uw"][shape_idx]
+        weights = sets.astype(np.float64)
+        lifted = (
+            ((weights @ state["blocker_hi"]).astype(np.uint64)
+             << np.uint64(32))
+            | (weights @ state["blocker_lo"]).astype(np.uint64)
+            | state["base64"]
+        )
+        tallest = int(heights[-1])
+        grid = np.zeros((len(sets), rows + tallest - 1), dtype=np.uint64)
+        grid[:, :rows] = lifted
+        band = lifted
+        for i, first in enumerate(
+            np.searchsorted(heights, np.arange(1, tallest), side="right")
+            .tolist(), start=1,
+        ):
+            band[first:] &= grid[first:, i:i + rows]
+        # Doubling along the columns: round k shifts each pair by its
+        # remaining width, at most 2^k.
+        rounds = int(widths.max() - 1).bit_length()
+        doubling = (1 << np.arange(rounds))[:, None]
+        steps = np.clip(widths - doubling, 0, doubling).astype(np.uint64)
+        shifted = np.empty_like(band)
+        for step in steps:
+            np.right_shift(band, step[:, None], out=shifted)
+            band &= shifted
+        hit = band != 0
+        out = np.empty((len(sets), 4), dtype=np.int64)
+        out[:, 0] = hit.argmax(axis=1) + heights
+        out[:, 1] = hit[:, ::-1].argmax(axis=1) - (rows - 1)
+        # Anchor columns as bits, lowest column first and highest first.
+        found = np.bitwise_or.reduce(band, axis=1)
+        low = np.unpackbits(found.astype("<u8").view(np.uint8)
+                            .reshape(-1, 8), axis=1, bitorder="little")
+        high = np.unpackbits(found.astype(">u8").view(np.uint8)
+                             .reshape(-1, 8), axis=1)
+        out[:, 2] = low.view(bool).argmax(axis=1) + widths
+        out[:, 3] = high.view(bool).argmax(axis=1) - 63
+        out[found == 0] = _NO_ANCHOR
+        return out
 
     def _evict_moves(
         self,
-        base_bits: list[int],
-        blockers: list[tuple[int, Rect]],
+        state: dict,
+        blockers: list[int],
         target: Rect,
     ) -> list[Move] | None:
         """Relocation moves clearing ``target``, or None when some
         blocker has nowhere to go.
 
-        Works on packed free-column bitmasks: vacate the blockers,
-        reserve the target, then first-fit each blocker largest-first —
-        the exact scratch-grid procedure of the eviction strategy, minus
-        the numpy copies.  Sequencing is the caller's job.
+        ``blockers`` index the state's footprints.  Works on the grid
+        packed into one integer: vacate the blockers, reserve the
+        target, then first-fit each blocker largest-first — the exact
+        scratch-grid procedure of the eviction strategy, minus the numpy
+        copies.  Sequencing is the caller's job.
         """
         PERF.evict_moves_calls += 1
-        bits = list(base_bits)
-        for _, rect in blockers:
-            set_rect(bits, rect.row, rect.row_end,
-                     span_mask(rect.col, rect.width))
-        clear_rect(bits, target.row, target.row_end,
-                   span_mask(target.col, target.width))
+        stride = state["stride"]
+        rows = state["rows"]
+        reps = state["reps"]
+        masks = state["blocker_masks"]
+        print_items = state["print_items"]
+        areas = state["areas"]
+        grid = state["packed"]
+        for i in blockers:
+            grid |= masks[i]
+        grid &= ~(span_mask(target.col, target.width) * reps[target.height]
+                  << (target.row * stride))
         moves: list[Move] = []
-        for owner, rect in sorted(
-            blockers, key=lambda kv: kv[1].area, reverse=True
-        ):
-            spot = first_fit_bits(bits, rect.height, rect.width)
-            if spot is None:
+        for i in sorted(blockers, key=areas.__getitem__, reverse=True):
+            owner, rect = print_items[i]
+            at = first_fit_packed(grid, rows, stride, rect.height,
+                                  rect.width)
+            if at is None:
                 return None
-            dst = Rect(spot[0], spot[1], rect.height, rect.width)
-            clear_rect(bits, dst.row, dst.row_end,
-                       span_mask(dst.col, dst.width))
-            moves.append(Move(owner, rect, dst))
+            grid &= ~(span_mask(0, rect.width) * reps[rect.height] << at)
+            row, col = divmod(at, stride)
+            moves.append(
+                Move(owner, rect, Rect(row, col, rect.height, rect.width))
+            )
         return moves

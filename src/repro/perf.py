@@ -1,13 +1,13 @@
 """Process-wide hot-path instrumentation: counters and timers.
 
 The admission hot path is a stack of caches — the kernel's shape-level
-failure memos, the planner's per-generation screen cache, the fitter's
-per-generation answer cache, the fleet's per-member probe memo.  Each
-one is provably transparent (it may only skip work whose outcome is
-unchanged), which also makes each one invisible: a broken invalidation
-shows up as *wrong results* (pinned by the differential suites), but a
-broken *hit rate* shows up as nothing at all — the code silently does
-the full work again and only the wall clock knows.
+failure memos, the planner's per-token blocker-set screen cache, the
+fitter's per-generation answer cache, the fleet's per-member probe
+memo.  Each one is provably transparent (it may only skip work whose
+outcome is unchanged), which also makes each one invisible: a broken
+invalidation shows up as *wrong results* (pinned by the differential
+suites), but a broken *hit rate* shows up as nothing at all — the code
+silently does the full work again and only the wall clock knows.
 
 This module makes hit rates observable.  It keeps one process-global
 :class:`PerfCounters` instance (:data:`PERF`) that the hot paths bump
@@ -32,15 +32,20 @@ Counter semantics (all monotonically increasing since the last
     per-member probes the fleet manager skipped because the shape
     already failed on that member at its current free-space generation.
 ``screen_calls`` / ``screen_windows``
-    vectorised eviction screens actually run, and the total candidate
-    windows they examined.
+    eviction screens actually run, and the total candidate windows they
+    examined.
 ``screen_cache_hits`` / ``screen_cache_misses``
-    per-(generation, shape) eviction-screen keep-set cache outcomes.
+    the eviction screen's per-token blocker-set cache: distinct
+    (blocker set, blocker shape) pairs a screen call found stored by an
+    earlier call at the same planner token, and pairs it computed.
 ``evict_moves_calls``
     sequential relocation searches (the work the screens gate).
 ``first_fit_scalar`` / ``first_fit_vector``
-    packed first-fit probes answered by the scalar Python-int path
-    and by the vectorised word-packed path.
+    packed first-fit probes on grids under
+    ``repro.placement.bitgrid.SMALL_SET`` sites and on larger ones.
+    One packed-integer core answers both; the size split keeps the
+    counts comparable with earlier releases, which ran a scalar and a
+    numpy path.
 
 Timers are for the harnesses only (they cost a ``perf_counter`` call
 per edge): ``with PERF.timer("screen"): ...`` accumulates wall seconds

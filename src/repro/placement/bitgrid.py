@@ -15,7 +15,9 @@ the rearrangement planners (`repro.core.defrag`,
 same representation instead of slicing numpy scratch grids.
 
 Conventions: bit ``c`` of ``row_bits[r]`` is set iff site ``(r, c)`` is
-free.  All helpers are pure; callers own the (cheap) list copies.
+free.  A packed grid (:func:`pack_grid`) holds the same bit of row ``r``
+at ``r * stride + c``.  All helpers are pure; callers own the (cheap)
+list copies.
 """
 
 from __future__ import annotations
@@ -24,21 +26,12 @@ import numpy as np
 
 from repro.perf import PERF
 
-#: Grid size (rows x columns) below which :func:`first_fit_bits` keeps
-#: its scalar Python-int path.  Small grids collapse to one machine word
-#: per row, where shift-and-AND on native ints beats numpy's per-call
-#: dispatch overhead by a wide margin; the word-packed vector path only
-#: pays off once rows x columns outgrows this.
+#: Grid size (rows x columns) that splits the first-fit counters:
+#: probes on smaller grids count as ``first_fit_scalar``, the rest as
+#: ``first_fit_vector`` (see :mod:`repro.perf`).  Both sizes run the same
+#: packed core, :func:`first_fit_packed`; the split only keeps the counts
+#: comparable across releases.
 SMALL_SET = 4096
-
-#: Reusable (band, shift) scratch pairs for the vector path, keyed by
-#: ``(rows, words)``.  ``pop``/reinsert keeps concurrent callers safe:
-#: two threads can never check out the same buffers, the loser just
-#: allocates a fresh pair.
-_SCRATCH: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-_WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
 
 
 def pack_free_rows(occupancy: np.ndarray) -> list[int]:
@@ -72,132 +65,106 @@ def run_anchor_mask(bits: int, width: int) -> int:
     return mask
 
 
+def pack_grid(row_bits: list[int], stride: int) -> int:
+    """One integer holding every row: row ``r`` at bits ``r * stride``.
+
+    With ``stride`` at least one more than the widest row, each row ends
+    in a zero guard column, so a run of set bits can never wrap from one
+    row into the next (see :func:`first_fit_packed`).
+    """
+    grid = 0
+    for bits in reversed(row_bits):
+        grid = (grid << stride) | bits
+    return grid
+
+
+def packed_anchors(grid: int, stride: int, height: int, width: int) -> int:
+    """Anchors of free ``height`` x ``width`` windows in a packed grid.
+
+    ``grid`` is a :func:`pack_grid` layout whose last column
+    (``stride - 1``) is always clear.  One doubling shift/AND chain down
+    the rows leaves bit ``(r, c)`` set iff column ``c`` is free in rows
+    ``r .. r + height - 1`` (rows past the grid read as zero); a second
+    chain along the columns leaves it set iff that band is free in
+    columns ``c .. c + width - 1``.  A run that would cross the guard
+    column reads a zero there, so it never wraps into the next row.
+    """
+    shift = 1
+    while shift < height and grid:
+        step = min(shift, height - shift)
+        grid &= grid >> (step * stride)
+        shift += step
+    shift = 1
+    while shift < width and grid:
+        step = min(shift, width - shift)
+        grid &= grid >> step
+        shift += step
+    return grid
+
+
+def first_fit_packed(grid: int, rows: int, stride: int, height: int,
+                     width: int) -> int | None:
+    """Bit index of the row-major-first free ``height`` x ``width`` anchor.
+
+    ``grid`` holds ``rows`` rows laid out by :func:`pack_grid`.  The
+    lowest set bit of :func:`packed_anchors` is the topmost row's
+    leftmost anchor, exactly :func:`repro.placement.fit.first_fit`'s
+    choice.  Returns the bit index (``divmod(index, stride)`` is
+    ``(row, col)``) or ``None``.
+    """
+    if height > rows or width >= stride:
+        return None
+    if rows * (stride - 1) >= SMALL_SET:
+        PERF.first_fit_vector += 1
+    else:
+        PERF.first_fit_scalar += 1
+    anchors = packed_anchors(grid, stride, height, width)
+    if not anchors:
+        return None
+    return (anchors & -anchors).bit_length() - 1
+
+
+def anchor_extents(grid: int, stride: int, height: int,
+                   width: int) -> tuple[int, int, int, int] | None:
+    """``(top, bottom, left, right)`` over every free-window anchor.
+
+    The first and last anchor rows, and the first and last columns
+    holding an anchor in any row, of :func:`packed_anchors`; ``None``
+    when the shape fits nowhere.  Folding the anchor rows onto row 0
+    (doubling shift/OR) gives the columns.
+    """
+    anchors = packed_anchors(grid, stride, height, width)
+    if not anchors:
+        return None
+    low = (anchors & -anchors).bit_length() - 1
+    top = low // stride
+    bottom = (anchors.bit_length() - 1) // stride
+    fold = anchors >> (top * stride)
+    span = 1
+    while span <= bottom - top:
+        fold |= fold >> (span * stride)
+        span *= 2
+    fold &= (1 << stride) - 1
+    return (top, bottom, (fold & -fold).bit_length() - 1,
+            fold.bit_length() - 1)
+
+
 def first_fit_bits(row_bits: list[int], height: int,
                    width: int) -> tuple[int, int] | None:
     """Row-major-first anchor of a free ``height`` x ``width`` window.
 
     Matches :func:`repro.placement.fit.first_fit`'s grid path exactly:
     the topmost row holding any feasible anchor wins, leftmost column
-    within it.  Returns ``(row, col)`` or ``None``.
-
-    Grids under :data:`SMALL_SET` bits run the scalar per-row loop;
-    larger grids are packed into uint64 word rows and answered by
-    vectorised sliding-window AND-reductions (:func:`_first_fit_words`),
-    which the differential tests pin to the scalar answer.
+    within it.  Returns ``(row, col)`` or ``None``.  The rows are packed
+    into one integer (:func:`pack_grid`) and answered by
+    :func:`first_fit_packed`; callers probing one grid many times should
+    pack it once and call the core directly.
     """
-    rows = len(row_bits)
-    if rows < height:
-        return None
-    cols = 0
-    for bits in row_bits:
-        length = bits.bit_length()
-        if length > cols:
-            cols = length
-    if cols < width:
-        return None
-    if rows * cols >= SMALL_SET:
-        PERF.first_fit_vector += 1
-        return _first_fit_words(row_bits, height, width, cols)
-    PERF.first_fit_scalar += 1
-    for r in range(rows - height + 1):
-        band = row_bits[r]
-        for rr in range(r + 1, r + height):
-            band &= row_bits[rr]
-            if not band:
-                break
-        # A band with fewer than ``width`` set bits cannot hold a run;
-        # ``bit_count`` is C-speed and skips the doubling walk for the
-        # (common, on saturated grids) hopeless bands.
-        if band.bit_count() < width:
-            continue
-        anchors = run_anchor_mask(band, width)
-        if anchors:
-            return r, (anchors & -anchors).bit_length() - 1
-    return None
-
-
-def _shift_right_words(arr: np.ndarray, shift: int,
-                       out: np.ndarray) -> np.ndarray:
-    """Per-row right shift of word-packed bitmasks by ``shift`` bits.
-
-    ``arr`` and ``out`` are ``(n, words)`` uint64 arrays (little-endian
-    word order: word 0 holds columns 0–63).  Bits shifted out of word
-    ``i + 1`` carry into the top of word ``i``.
-    """
-    words = arr.shape[1]
-    word_off, bit_off = divmod(shift, _WORD)
-    out[:] = 0
-    if word_off >= words:
-        return out
-    keep = words - word_off
-    if bit_off == 0:
-        out[:, :keep] = arr[:, word_off:]
-    else:
-        np.right_shift(arr[:, word_off:], np.uint64(bit_off),
-                       out=out[:, :keep])
-        if word_off + 1 < words:
-            out[:, :keep - 1] |= arr[:, word_off + 1:] \
-                << np.uint64(_WORD - bit_off)
-    return out
-
-
-def _first_fit_words(row_bits: list[int], height: int, width: int,
-                     cols: int) -> tuple[int, int] | None:
-    """Vectorised :func:`first_fit_bits` over uint64 word rows.
-
-    Two doubling shift-AND reductions, each across the whole grid at
-    once: down the row axis to produce every anchor row's ``height``-row
-    band in one pass, then along the column axis (with cross-word
-    carries) to reduce each band to its run-anchor mask.  Scratch
-    arrays are pooled per grid shape in :data:`_SCRATCH`.
-    """
-    rows = len(row_bits)
-    words = (cols + _WORD - 1) // _WORD
-    key = (rows, words)
-    bufs = _SCRATCH.pop(key, None)
-    if bufs is None:
-        band = np.empty((rows, words), dtype=np.uint64)
-        temp = np.empty((rows, words), dtype=np.uint64)
-    else:
-        band, temp = bufs
-    nbytes = words * 8
-    band.reshape(-1)[:] = np.frombuffer(
-        b"".join(bits.to_bytes(nbytes, "little") for bits in row_bits),
-        dtype="<u8",
-    )
-    try:
-        # Band reduction down the rows: after each step, row i of the
-        # live prefix ANDs rows i .. i + span - 1 of the grid.
-        n = rows
-        span = 1
-        while span < height:
-            step = min(span, height - span)
-            np.bitwise_and(band[:n - step], band[step:n],
-                           out=temp[:n - step])
-            band, temp = temp, band
-            n -= step
-            span += step
-        # Run-anchor reduction along the columns of every band at once.
-        mask = band[:n]
-        shift = 1
-        while shift < width:
-            if not mask.any():
-                return None
-            step = min(shift, width - shift)
-            _shift_right_words(mask, step, temp[:n])
-            mask &= temp[:n]
-            shift += step
-        hit = mask.any(axis=1)
-        r = int(np.argmax(hit))
-        if not hit[r]:
-            return None
-        for w in range(words):
-            value = int(mask[r, w])
-            if value:
-                return r, w * _WORD + ((value & -value).bit_length() - 1)
-        return None
-    finally:
-        _SCRATCH[key] = (band, temp)
+    cols = max(map(int.bit_length, row_bits), default=0)
+    stride = cols + 1
+    at = first_fit_packed(pack_grid(row_bits, stride), len(row_bits),
+                          stride, height, width)
+    return None if at is None else divmod(at, stride)
 
 
 def clear_rect(row_bits: list[int], row: int, row_end: int,
