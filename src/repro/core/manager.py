@@ -164,8 +164,6 @@ class LogicSpaceManager:
             make_defrag_policy(defrag_policy)
             if isinstance(defrag_policy, str) else defrag_policy
         )
-        self.outcomes: list[PlacementOutcome] = []
-        self.defrag_outcomes: list[DefragOutcome] = []
         self._move_cost_cache: dict[tuple[int, int], float] = {}
         self._config_cost_cache: dict[int, float] = {}
 
@@ -254,18 +252,14 @@ class LogicSpaceManager:
                         index=self.free_space)
         if rect is not None:
             self.fabric.allocate_region(rect, owner)
-            outcome = PlacementOutcome(
+            return PlacementOutcome(
                 True, owner, rect, config_seconds=self.config_seconds(rect)
             )
-            self.outcomes.append(outcome)
-            return outcome
         if self.policy is RearrangePolicy.NONE \
                 or not self.defrag_policy.reactive:
             # Fit-only failure is monotone in the footprint: any larger
             # window would contain the missing smaller one.
-            outcome = PlacementOutcome(False, owner, dominant=True)
-            self.outcomes.append(outcome)
-            return outcome
+            return PlacementOutcome(False, owner, dominant=True)
         # The token names the current occupancy content (see
         # DefragPlanner.plan): probes repeated against an unchanged
         # fabric reuse the planner's per-generation work and memoised
@@ -282,15 +276,13 @@ class LogicSpaceManager:
             # The failure is dominant only on a free-area shortfall
             # (larger shapes need even more area); a rearrangement
             # *search* failure proves nothing about other shapes.
-            outcome = PlacementOutcome(
+            return PlacementOutcome(
                 False, owner,
                 dominant=self.free_space.free_area() < height * width,
             )
-            self.outcomes.append(outcome)
-            return outcome
         executions = self.execute_plan(plan)
         self.fabric.allocate_region(plan.target, owner)
-        outcome = PlacementOutcome(
+        return PlacementOutcome(
             True,
             owner,
             plan.target,
@@ -298,8 +290,6 @@ class LogicSpaceManager:
             config_seconds=self.config_seconds(plan.target),
             method=plan.method,
         )
-        self.outcomes.append(outcome)
-        return outcome
 
     #: how deep into the failing run :meth:`prefetch_admission` resolves
     #: rearrangement plans ahead of demand.  The caller passes the
@@ -404,14 +394,12 @@ class LogicSpaceManager:
         before = self.free_space.largest_free_area()
         executions = self.execute_plan(plan)
         after = self.free_space.largest_free_area()
-        outcome = DefragOutcome(
+        return DefragOutcome(
             moves=executions,
             method=plan.method,
             largest_before=before,
             largest_after=after,
         )
-        self.defrag_outcomes.append(outcome)
-        return outcome
 
     def release(self, owner: int) -> None:
         """Free a finished function's footprint."""

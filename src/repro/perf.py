@@ -1,7 +1,7 @@
-"""Process-wide hot-path instrumentation: counters and timers.
+"""Process-wide hot-path instrumentation counters.
 
-The admission hot path is a stack of caches — the kernel's shape-level
-failure memos, the planner's per-token blocker-set screen cache, the
+The admission hot path is a stack of caches — the kernel's admission
+failure record, the planner's per-token blocker-set screen cache, the
 fitter's per-generation answer cache, the fleet's per-member probe
 memo.  Each one is provably transparent (it may only skip work whose
 outcome is unchanged), which also makes each one invisible: a broken
@@ -24,10 +24,16 @@ Counter semantics (all monotonically increasing since the last
 ``admission_probes``
     ``manager.request`` calls issued by the kernel's admission loop —
     the work everything below exists to avoid.
-``item_memo_skips`` / ``shape_memo_skips`` / ``dominance_skips``
-    admission probes skipped by the per-item failure memo, the exact
-    shape-level memo and the dominance (equal-or-larger footprint)
-    memo respectively.
+``shape_memo_skips`` / ``dominance_skips``
+    admission probes the kernel's failure record skipped: the exact
+    shape already failed against the current occupancy, or a certified
+    failure of an equal-or-smaller footprint dominates it.  Together
+    they count every skipped probe.
+``item_memo_skips``
+    always 0.  The per-item failure memo it counted is gone (every
+    skip it made was also a shape or dominance skip); the key stays
+    because benchmark harnesses and committed benchmark files read
+    the column.
 ``fleet_member_skips``
     per-member probes the fleet manager skipped because the shape
     already failed on that member at its current free-space generation.
@@ -46,16 +52,9 @@ Counter semantics (all monotonically increasing since the last
     One packed-integer core answers both; the size split keeps the
     counts comparable with earlier releases, which ran a scalar and a
     numpy path.
-
-Timers are for the harnesses only (they cost a ``perf_counter`` call
-per edge): ``with PERF.timer("screen"): ...`` accumulates wall seconds
-into :attr:`PerfCounters.times`.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
 
 #: Counter attribute names, in reporting order.  Kept explicit (rather
 #: than introspected) so the snapshot layout is stable for the
@@ -79,44 +78,29 @@ COUNTER_NAMES = (
 class PerfCounters:
     """A bundle of hot-path counters with snapshot/reset semantics."""
 
-    __slots__ = COUNTER_NAMES + ("times",)
+    __slots__ = COUNTER_NAMES
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        """Zero every counter and drop accumulated timer seconds."""
+        """Zero every counter."""
         for name in COUNTER_NAMES:
             setattr(self, name, 0)
-        self.times: dict[str, float] = {}
 
     def snapshot(self) -> dict:
-        """Current counter values (and timers, when any ran) as a dict.
+        """Current counter values as a dict.
 
         Every counter is reported — including zeros — so committed
         benchmark payloads keep a stable column set across runs.
         """
-        out: dict = {name: getattr(self, name) for name in COUNTER_NAMES}
-        if self.times:
-            out["times"] = dict(sorted(self.times.items()))
-        return out
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def collect(self) -> dict:
         """Snapshot, then reset — one benchmark cell's worth of counts."""
         out = self.snapshot()
         self.reset()
         return out
-
-    @contextmanager
-    def timer(self, name: str):
-        """Accumulate the wall time of the ``with`` body under ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.times[name] = (
-                self.times.get(name, 0.0) + time.perf_counter() - started
-            )
 
 
 #: The process-global counter bundle the hot paths increment.

@@ -270,43 +270,18 @@ class SchedulingKernel:
         self.running: dict[
             int, tuple[Callable[[], None], EventHandle]
         ] = {}
-        #: occupancy version counter: a failed admission pass is only
-        #: retried after the logic space actually changed.
-        self._space_version = 0
-        self._failed_at_version: int | None = None
-        #: per-item failure memo: admission token -> space version at
-        #: which the item's placement failed.  ``manager.request`` is a
-        #: pure function of the occupancy, so re-asking before the space
-        #: changed would re-run the (expensive) rearrangement planner to
-        #: reach the same "no" — the multi-candidate disciplines
-        #: (backfill above all) would otherwise replan the whole queue
-        #: per arrival.  The memo is keyed on a monotonically-assigned
-        #: token, never on ``id(item)``: a long-running service creates
-        #: and destroys items continuously, and a recycled interpreter
-        #: id would let a *new* item inherit a stale failure memo and be
-        #: silently skipped for a pass.
-        self._item_failed_at: dict[int, int] = {}
-        #: shape-level failure memo: (height, width) -> space version at
-        #: which that *shape* failed.  ``manager.request``'s verdict is
-        #: a pure function of (occupancy, shape) — the owner id never
-        #: affects success — so once one item's shape fails, every other
-        #: queued item of the same shape is skipped until the space
-        #: version bumps.  The per-item memo above cannot catch these:
-        #: each item carries its own token.
-        self._shape_failed_at: dict[tuple[int, int], int] = {}
-        #: dominance memo: the shapes that failed *with a certificate*
-        #: (``PlacementOutcome.dominant``) at ``_space_version``.  A
-        #: certified failure of (h, w) proves every (h' >= h, w' >= w)
-        #: also fails against this occupancy, so equal-or-larger queued
-        #: footprints skip their probe (and their eviction screen)
-        #: entirely.  Reset implicitly by the version tag — a memo can
-        #: never outlive a space-version bump.
-        self._dominant_shapes: tuple[int, list[tuple[int, int]]] = (-1, [])
-        #: id(item) -> admission token, live only while the item is
-        #: queued (the queue holds a strong reference, so the id cannot
-        #: be recycled while an entry exists here).
-        self._item_tokens: dict[int, int] = {}
-        self._token_seq = 0
+        #: the admission failure record: each shape that failed to place
+        #: against the current occupancy, mapped to its dominance
+        #: certificate (``PlacementOutcome.dominant``).
+        #: ``manager.request``'s verdict is a pure function of
+        #: (occupancy, shape) — the owner never affects success — so a
+        #: recorded shape is not re-probed, whichever item carries it,
+        #: and a certified failure of (h, w) also settles every
+        #: (h' >= h, w' >= w).  Without it the multi-candidate
+        #: disciplines (backfill above all) would re-run the expensive
+        #: rearrangement planner for the whole queue on every arrival.
+        #: :meth:`note_space_changed` is the only method that empties it.
+        self._failed_shapes: dict[tuple[int, int], bool] = {}
         #: external-clock pause flag: while paused, admission passes are
         #: deferred and the clock may not advance (checkpoint windows).
         self._paused = False
@@ -392,96 +367,57 @@ class SchedulingKernel:
 
     # -- admission ----------------------------------------------------------
 
-    def _token(self, item: Admissible) -> int:
-        """The admission token of a queued item (assigned lazily for
-        items pushed around :meth:`enqueue`, e.g. by tests driving the
-        queue directly).  Tokens are monotonic and never reused, so a
-        failure memo can never outlive its item into a recycled id."""
-        token = self._item_tokens.get(id(item))
-        if token is None:
-            token = self._token_seq
-            self._token_seq += 1
-            self._item_tokens[id(item)] = token
-        return token
-
-    def _forget(self, item: Admissible) -> None:
-        """Drop an item's token and failure memo (it left the queue)."""
-        token = self._item_tokens.pop(id(item), None)
-        if token is not None:
-            self._item_failed_at.pop(token, None)
-
     def enqueue(self, item: Admissible, *, priority: int = 0,
                 area: int = 0) -> None:
         """Add a work item to the waiting queue and try to place it.
 
-        Disciplines whose candidate set depends on arrivals (priority,
-        sjf, backfill) reopen a blocked pass here: the newcomer may be
-        a better — or the first feasible — candidate even though the
-        occupancy did not change.  FIFO keeps the short-circuit: a push
-        behind a blocked head can never alter the head.
+        The pass runs under every discipline: the newcomer may be a
+        better — or the first feasible — candidate even though the
+        occupancy did not change, and candidates whose shape already
+        failed against it are skipped without a probe.
         """
         self.queue.push(item, priority=priority, area=area,
                         now=self.events.now)
-        # A fresh token per admission attempt: re-enqueueing an object
-        # (or a new object on a recycled id) never inherits a memo.
-        self._item_tokens[id(item)] = self._token_seq
-        self._token_seq += 1
-        if getattr(self.queue, "arrival_reopens_pass", True):
-            self._failed_at_version = None
         self.drain()
 
     def cancel(self, item: Admissible) -> None:
         """Drop a waiting item (timeout/abandon): tombstoned in O(1).
 
-        The admission order changed, so the next pass is given a fresh
-        chance even if the space did not move.
+        The admission order changed, so a pass runs even if the space
+        did not move: the item may have been blocking the ones behind.
         """
         self.queue.discard(item)
-        self._forget(item)
-        self._failed_at_version = None
         self.drain()
 
     def note_space_changed(self) -> None:
-        """Record that occupancy changed (placements do this themselves;
-        releases must call it so blocked passes are retried)."""
-        self._space_version += 1
+        """Record that occupancy changed: empty the failure record, so
+        every shape is probed afresh.  Placements and consolidations do
+        this themselves; releases must call it so blocked work is
+        retried."""
+        self._failed_shapes.clear()
 
     def _shape_blocked(self, height: int, width: int,
                        count: bool = True) -> bool:
-        """Whether the shape memos prove this footprint cannot place.
+        """Whether the failure record proves this footprint cannot place.
 
-        True when the exact shape already failed at the current space
-        version, or when some *certified* failure of an equal-or-smaller
-        footprint dominates it.  Both memos key on the space version, so
-        any occupancy change re-opens every shape.  ``count=False``
-        keeps advisory checks (the prefetch scan) out of the skip
-        counters, which tally skipped *probes* only.
+        True when the exact shape already failed against the current
+        occupancy, or when some *certified* failure of an
+        equal-or-smaller footprint dominates it.  ``count=False`` keeps
+        advisory checks (the prefetch scan) out of the skip counters,
+        which tally skipped *probes* only.
         """
-        if self._shape_failed_at.get((height, width)) \
-                == self._space_version:
+        failed = self._failed_shapes
+        if (height, width) in failed:
             if count:
                 PERF.shape_memo_skips += 1
             return True
-        version, shapes = self._dominant_shapes
-        if version == self._space_version:
-            for failed_height, failed_width in shapes:
-                if failed_height <= height and failed_width <= width:
-                    if count:
-                        PERF.dominance_skips += 1
-                    return True
+        for (failed_height, failed_width), dominant in failed.items():
+            if dominant and failed_height <= height \
+                    and failed_width <= width:
+                if count:
+                    PERF.dominance_skips += 1
+                return True
         return False
-
-    def _note_shape_failed(self, height: int, width: int,
-                           dominant: bool) -> None:
-        """Record a failed probe in the shape memos."""
-        self._shape_failed_at[height, width] = self._space_version
-        if not dominant:
-            return
-        version, shapes = self._dominant_shapes
-        if version != self._space_version:
-            self._dominant_shapes = (self._space_version, [(height, width)])
-        else:
-            shapes.append((height, width))
 
     def _prefetch(self) -> None:
         """Warm the manager's fit/plan caches for the coming pass.
@@ -495,30 +431,29 @@ class SchedulingKernel:
         state instead of one probe per item (the multi-candidate
         disciplines, backfill above all, put many items through one
         pass).  ``scan`` only purges tombstones, so iterating it here
-        and again below yields the same items.  Items already
-        failure-memoed at this space version are skipped (their answers
-        are cached).  A fleet manager forwards the batch to every
-        member that exposes the hook (see
+        and again below yields the same items.  Shapes the failure
+        record already settles are left out: the loop below never
+        probes them, so warming their caches (and running their
+        eviction screens) would be pure waste.  A fleet manager forwards
+        the batch to every member that exposes the hook (see
         :meth:`repro.fleet.manager.FleetManager.prefetch_admission`),
         so multi-device runs keep the batched-probe fast path.
         """
         prefetch = getattr(self.manager, "prefetch_admission", None)
         if prefetch is None:
             return
+        failed = self._failed_shapes
         shapes: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for item in self.queue.scan(self.events.now):
-            if self._item_failed_at.get(
-                    self._token(item)) == self._space_version:
-                continue
             shape = (item.height, item.width)
-            if shape not in seen:
-                seen.add(shape)
-                # Shapes the memos already doom are never probed below,
-                # so warming their caches (and running their eviction
-                # screens) would be pure waste.
-                if not self._shape_blocked(*shape, count=False):
-                    shapes.append(shape)
+            # Most candidates of a blocked queue carry a recorded shape:
+            # settle those with one lookup before the dedup set.
+            if shape in failed or shape in seen:
+                continue
+            seen.add(shape)
+            if not self._shape_blocked(*shape, count=False):
+                shapes.append(shape)
         if shapes:
             prefetch(shapes)
 
@@ -527,8 +462,9 @@ class SchedulingKernel:
 
         One *pass* asks the discipline for its candidate order and
         attempts each; a successful placement restarts the pass (the
-        order may have changed), a fully failed pass marks the current
-        space version as blocked so no request is re-planned until the
+        order may have changed), a failed one enters its shape in the
+        failure record so no request of that shape (or, with a dominance
+        certificate, of any larger one) is re-planned until the
         occupancy actually changes.  While the kernel is paused
         (checkpoint window), the pass is deferred to :meth:`resume`.
 
@@ -544,39 +480,25 @@ class SchedulingKernel:
     def _admit_pass(self) -> None:
         """The admission loop behind :meth:`drain` (see there)."""
         while len(self.queue):
-            if self._failed_at_version == self._space_version:
-                return  # nothing changed since the last blocked pass
             self._prefetch()
             placed = False
             for item in self.queue.scan(self.events.now):
-                token = self._token(item)
-                if self._item_failed_at.get(token) == self._space_version:
-                    PERF.item_memo_skips += 1
-                    continue  # same occupancy, same answer: skip replan
                 if self._shape_blocked(item.height, item.width):
-                    # The verdict is already known (same or dominated
-                    # shape failed at this version): record it on the
-                    # item without re-asking the manager.
-                    self._item_failed_at[token] = self._space_version
-                    continue
+                    continue  # same occupancy, same answer: skip replan
                 PERF.admission_probes += 1
                 outcome = self.manager.request(
                     item.height, item.width, item.task_id
                 )
                 if outcome.success:
                     self.queue.take(item)
-                    self._forget(item)
-                    self._space_version += 1
+                    self.note_space_changed()
                     if self.on_admitted is not None:
                         self.on_admitted(item, outcome)
                     placed = True
                     break
-                self._item_failed_at[token] = self._space_version
-                self._note_shape_failed(
-                    item.height, item.width, outcome.dominant
-                )
+                self._failed_shapes[item.height, item.width] = \
+                    outcome.dominant
             if not placed:
-                self._failed_at_version = self._space_version
                 return
 
     # -- port + HALT accounting ---------------------------------------------
@@ -860,7 +782,7 @@ class SchedulingKernel:
             self.metrics.defrag_port_seconds += outcome.port_seconds
             self.apply_halts(outcome)
             port.acquire(move_seconds=outcome.port_seconds)
-            self._space_version += 1
+            self.note_space_changed()
             fired = outcome
         if fired is None:
             return None

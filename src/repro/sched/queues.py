@@ -68,12 +68,6 @@ class QueueDiscipline(Protocol):
     """Admission-order policy over a set of waiting work items."""
 
     name: str
-    #: whether a *new arrival* can change the outcome of a blocked
-    #: admission pass.  False for FIFO (the blocked head stays the sole
-    #: candidate, so the kernel may keep its occupancy-version
-    #: short-circuit); True for any discipline where an arrival can
-    #: become a better candidate (priority/sjf) or a feasible backfill.
-    arrival_reopens_pass: bool
 
     def push(self, item: object, *, priority: int = 0, area: int = 0,
              now: float = 0.0) -> None:
@@ -107,7 +101,6 @@ class _DisciplineBase:
     """Shared entry/tombstone plumbing for the concrete disciplines."""
 
     name = "base"
-    arrival_reopens_pass = True
 
     def __init__(self) -> None:
         self._entries: dict[int, QueueEntry] = {}
@@ -143,9 +136,6 @@ class FifoDiscipline(_DisciplineBase):
     """Strict first-in-first-out: the head alone is ever attempted."""
 
     name = "fifo"
-    #: a push behind a blocked head cannot change the head, so the
-    #: kernel's blocked-pass short-circuit stays valid across arrivals.
-    arrival_reopens_pass = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -192,9 +182,6 @@ class BackfillDiscipline(FifoDiscipline):
     """
 
     name = "backfill"
-    #: a newly arrived smaller task may be a feasible backfill even
-    #: though the blocked head (and the space) did not change.
-    arrival_reopens_pass = True
 
     def __init__(self, max_age: float = DEFAULT_BACKFILL_MAX_AGE) -> None:
         super().__init__()

@@ -115,14 +115,14 @@ class ServiceAPI:
                       writer: asyncio.StreamWriter) -> None:
         """Serve one request on one connection, then close it."""
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, query, body = parsed
-            if method == "GET" and path == "/telemetry/stream":
-                await self._stream_telemetry(writer, query)
-                return
             try:
+                parsed = await self._read_request(reader)
+                if parsed is None:
+                    return
+                method, path, query, body = parsed
+                if method == "GET" and path == "/telemetry/stream":
+                    await self._stream_telemetry(writer, query)
+                    return
                 status, payload, headers = self._dispatch(
                     method, path, query, body
                 )
@@ -156,7 +156,12 @@ class ServiceAPI:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                length = int(value.strip())
+                try:
+                    length = int(value.strip())
+                except ValueError:
+                    raise _HttpError(
+                        400, "Content-Length is not an integer"
+                    ) from None
         body = {}
         if length:
             raw = await reader.readexactly(length)
@@ -164,6 +169,8 @@ class ServiceAPI:
                 body = json.loads(raw)
             except json.JSONDecodeError:
                 raise _HttpError(400, "request body is not JSON") from None
+            if not isinstance(body, dict):
+                raise _HttpError(400, "request body is not a JSON object")
         split = urlsplit(target)
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
         return method.upper(), split.path.rstrip("/") or "/", query, body

@@ -19,14 +19,14 @@ never been interrupted.
 
 Two deliberate non-goals, documented so nobody chases "missing" state:
 
-* the manager's ``outcomes`` histories and fit-cache contents are not
-  serialized — they are diagnostics/memoisation, and future behaviour
-  depends only on occupancy, queue and events;
-* the kernel's space-version counters restart from zero — only their
-  *equality* is meaningful, and the restore re-establishes the one
-  relationship that matters (a non-empty restored queue is marked
-  blocked, exactly as the live kernel left it, so restoring never
-  re-runs the rearrangement planner).
+* the fit and plan caches are not serialized — they are memoisation,
+  and future behaviour depends only on occupancy, queue and events;
+* the kernel's admission failure record starts empty — the snapshot
+  was taken with every waiting candidate blocked on the current
+  occupancy (a drain always completes before control returns), so the
+  restored kernel's ``resume()`` re-probes those candidates once and
+  records the same verdicts, which are a pure function of occupancy
+  and shape.
 """
 
 from __future__ import annotations
@@ -257,12 +257,6 @@ def restore(state: dict) -> ReproService:
     engine.restore_fault_state(state.get("faults"))
     service.door = AdmissionController.from_state(state["door"])
 
-    if queued:
-        # The snapshot was taken with the queue blocked on the current
-        # occupancy (drain always completes before control returns);
-        # mark it so resume() does not re-plan placements that already
-        # answered "no".
-        kernel._failed_at_version = kernel._space_version
     kernel.resume()
     return service
 

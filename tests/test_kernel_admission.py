@@ -1,15 +1,14 @@
-"""Kernel admission seams: token memos, id reuse, pause/advance.
+"""Kernel admission seams: recycled ids, the failure record, pause/advance.
 
 A long-running service churns through task objects continuously, which
 turns two comfortable batch-era assumptions into bugs; this module
 pins their fixes:
 
-* the per-item **failure memo** is keyed on a monotonically-assigned
-  admission token, never on ``id(item)`` — a new object allocated on a
-  recycled interpreter id must not inherit a dead predecessor's
-  "already failed at this space version" memo and be silently skipped
-  (the classic symptom: a service task that should be admitted sits
-  queued until the next unrelated space change);
+* nothing in the admission loop is keyed on ``id(item)`` — a new object
+  allocated on a recycled interpreter id must be judged on its own
+  shape, never on a dead predecessor's verdict (the classic symptom: a
+  service task that should be admitted sits queued until the next
+  unrelated space change);
 * the **external-clock hooks** grown for the always-on service:
   ``advance`` processes events up to a target instant and re-stamps
   the metrics, ``pause``/``resume`` bracket a checkpoint window during
@@ -36,43 +35,19 @@ def task(task_id: int, height: int, width: int) -> Task:
                 exec_seconds=1.0, arrival=0.0)
 
 
-# -- token-keyed failure memos ----------------------------------------------
-
-
-def test_planted_stale_memo_on_a_recycled_id_is_ignored():
-    """The regression itself, deterministically: a stale id->token
-    mapping (what a dead predecessor on a recycled id leaves behind in
-    the worst case) must not suppress a fresh item's admission."""
-    admitted = []
-    kernel = kernel_for(on_admitted=lambda item, _: admitted.append(item))
-    fresh = task(1, 2, 2)
-    # Plant the hazard: this interpreter id already maps to an old
-    # token whose memo says "failed at the current space version" (the
-    # sequence is past it, as it would be after the predecessor lived).
-    kernel._token_seq = 1
-    kernel._item_tokens[id(fresh)] = 0
-    kernel._item_failed_at[0] = kernel._space_version
-    kernel.enqueue(fresh, area=fresh.area)
-    assert admitted == [fresh], (
-        "a recycled id inherited a dead item's failure memo"
-    )
+# -- the admission failure record ------------------------------------------
 
 
 def test_recycled_interpreter_id_gets_a_fresh_token():
     """End to end through the allocator: discard a failed item without
     the kernel's help, let CPython recycle its id, and check the
-    newcomer is judged on its own shape.  A priority queue, so the
-    newcomer's arrival reopens the blocked pass (under FIFO a direct
-    tombstone legitimately stays blocked until the next space change —
-    the kernel cannot see a removal it was not told about)."""
+    newcomer is judged on its own shape."""
     admitted = []
     kernel = kernel_for(on_admitted=lambda item, _: admitted.append(item),
                         queue="priority")
     blocked = task(1, 20, 20)  # cannot ever fit 8x12
     kernel.enqueue(blocked, area=blocked.area)
     assert not admitted and len(kernel.queue) == 1
-    stale_token = kernel._item_tokens[id(blocked)]
-    assert kernel._item_failed_at[stale_token] == kernel._space_version
     # Tombstone it *directly* — the one removal path that cannot call
     # the kernel's bookkeeping — then drop the last strong reference.
     kernel.queue.discard(blocked)
@@ -86,25 +61,9 @@ def test_recycled_interpreter_id_gets_a_fresh_token():
     assert admitted == [fresh]
 
 
-def test_tokens_are_monotonic_and_forgotten_on_exit():
-    kernel = kernel_for()
-    a, b = task(1, 20, 20), task(2, 20, 20)
-    kernel.enqueue(a, area=a.area)
-    kernel.enqueue(b, area=b.area)
-    token_a = kernel._item_tokens[id(a)]
-    token_b = kernel._item_tokens[id(b)]
-    assert token_b > token_a
-    kernel.cancel(a)
-    assert id(a) not in kernel._item_tokens
-    assert token_a not in kernel._item_failed_at
-    # Re-enqueueing the same object is a new admission attempt.
-    kernel.enqueue(a, area=a.area)
-    assert kernel._item_tokens[id(a)] > token_b
-
-
-def test_memo_still_short_circuits_within_one_space_version():
-    """The fix must not cost the memo its point: within one space
-    version a failed item is not re-planned."""
+def test_memo_still_short_circuits_within_one_occupancy():
+    """The record must not lose its point: against one occupancy a
+    failed shape is not re-planned."""
     requests = []
     kernel = kernel_for()
     original = kernel.manager.request
@@ -118,8 +77,8 @@ def test_memo_still_short_circuits_within_one_space_version():
     kernel.enqueue(big, area=big.area)
     first = requests.count(1)
     assert first == 1
-    # A FIFO-ordered arrival behind a blocked head re-runs the pass for
-    # the newcomer only; the memoed head is skipped.
+    # A FIFO-ordered arrival behind a blocked head re-runs the pass, but
+    # the head's shape is in the failure record: no second probe.
     small = task(2, 20, 20)
     kernel.enqueue(small, area=small.area)
     assert requests.count(1) == first

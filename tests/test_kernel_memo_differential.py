@@ -1,62 +1,109 @@
-"""Differential suite for the admission shape memos.
+"""Differential suite for the kernel's admission failure record.
 
-The kernel's shape-level failure memos and dominance certificates
-(:meth:`SchedulingKernel._shape_blocked`) exist purely to skip probes
-whose outcome is provably unchanged — so a kernel with the memos
-disabled must produce *bit-identical* schedules: the same admissions,
-rejections, timeouts, metrics and port timelines, event for event.
-This suite runs the two kernels in lockstep over hypothesis-chosen
-workloads (timeout-heavy churn, every queue discipline x port model),
-and separately pins the invalidation contract: a memo can never
-outlive a space-version bump, and every memo verdict is backed by a
-real failing probe.
+The record (:meth:`SchedulingKernel._shape_blocked`: the shapes that
+failed against the current occupancy, each with its dominance
+certificate) exists purely to skip probes whose outcome is provably
+unchanged — so a kernel that probes every candidate must produce
+*bit-identical* schedules: the same admissions, rejections, timeouts,
+metrics and port timelines, event for event.  This suite runs the two
+kernels in lockstep over hypothesis-chosen workloads (timeout-heavy
+churn; the slow variant crosses every queue discipline with every port
+model, on one device and on a 2-member fleet), pins the invalidation
+contract (every path that changes occupancy empties the record, and
+every verdict it returns is backed by a real failing probe), and pins
+the admission work budget, so a record that silently stopped hitting
+fails here instead of only on the wall clock.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.defrag_policy import IdleDefrag
 from repro.core.manager import LogicSpaceManager
 from repro.device.devices import device
 from repro.device.fabric import Fabric
+from repro.device.geometry import Rect
+from repro.fleet.manager import FleetManager
+from repro.perf import PERF
+from repro.sched.kernel import SchedulingKernel
+from repro.sched.queues import QUEUE_NAMES
 from repro.sched.scheduler import OnlineTaskScheduler
+from repro.sched.tasks import Task
 from repro.sched.workload import heavy_tail_tasks
 
 
 def _disable_memos(kernel) -> None:
-    """Turn the shape memos off on one kernel instance: every probe
-    runs against the manager, nothing is recorded."""
+    """Turn the failure record off on one kernel instance: every
+    candidate is probed against the manager."""
     kernel._shape_blocked = lambda height, width, count=True: False
-    kernel._note_shape_failed = lambda height, width, dominant: None
 
 
 def _churn_tasks(n: int, seed: int):
     """A timeout-heavy stream on the XC2S15's 8x12 grid: tight
     footprints and short deadlines keep the queue saturated, so the
-    memos (and their invalidation) are exercised hard."""
+    record (and its invalidation) is exercised hard."""
     return heavy_tail_tasks(
         n, seed=seed, mean_interarrival=0.05, size_range=(2, 6),
         max_wait=4.0, priority_levels=3,
     )
 
 
-def _run(queue: str, ports: str, seed: int, n: int, memoised: bool):
-    manager = LogicSpaceManager(Fabric(device("XC2S15")))
+def _stack(members: int):
+    """XC2S15 member managers and what the kernel drives: the single
+    manager, or a round-robin fleet over the members."""
+    managers = [LogicSpaceManager(Fabric(device("XC2S15")))
+                for _ in range(members)]
+    if members == 1:
+        return managers, managers[0]
+    return managers, FleetManager(managers, policy="round-robin")
+
+
+def _run(queue: str, ports: str, seed: int, n: int, memoised: bool,
+         members: int = 1):
+    managers, manager = _stack(members)
+    # The admission trace: every placement that happened, in order, with
+    # its device and rearrangement method.  Failed probes are *meant* to
+    # differ — skipping them is exactly what the record does — so only
+    # successes are traced.
+    trace = []
+    request = manager.request
+
+    def traced(height, width, owner):
+        outcome = request(height, width, owner)
+        if outcome.success:
+            trace.append((outcome.owner, outcome.device, outcome.rect,
+                          outcome.method, outcome.config_seconds))
+        return outcome
+
+    manager.request = traced
     scheduler = OnlineTaskScheduler(manager, queue=queue, ports=ports)
     if not memoised:
         _disable_memos(scheduler.kernel)
+    PERF.reset()
     metrics = scheduler.run(_churn_tasks(n, seed))
     return (
         metrics,
         scheduler.events.processed,
-        scheduler.port.busy_seconds,
-        manager.fabric.occupancy.tobytes(),
-        # The admission trace: every placement that happened, in order,
-        # with its rearrangement method.  Failed probes are *meant* to
-        # differ — skipping them is exactly what the memos do — so the
-        # raw ``manager.outcomes`` log (which records probes, not
-        # schedule) is compared on its successes only.
-        [(o.owner, o.rect, o.method, o.config_seconds)
-         for o in manager.outcomes if o.success],
+        [port.busy_seconds for port in scheduler.kernel.ports],
+        [member.fabric.occupancy.tobytes() for member in managers],
+        trace,
+        PERF.shape_memo_skips + PERF.dominance_skips,
     )
+
+
+def _assert_lockstep(queue: str, ports: str, seed: int,
+                     members: int = 1) -> None:
+    """Lockstep over 440+ events: record on vs off, identical
+    everything, and the record must have skipped probes."""
+    n = 220  # 2-3 events per task: arrival + timeout or admit + finish
+    memo = _run(queue, ports, seed, n, memoised=True, members=members)
+    bare = _run(queue, ports, seed, n, memoised=False, members=members)
+    assert memo[0] == bare[0], "metrics diverged"
+    assert memo[1] == bare[1], "event counts diverged"
+    assert memo[2] == bare[2], "port busy time diverged"
+    assert memo[3] == bare[3], "final occupancy diverged"
+    assert memo[4] == bare[4], "admission trace diverged"
+    assert memo[5] > 0, "the record never fired: churn too gentle"
 
 
 @settings(max_examples=4, deadline=None)
@@ -66,36 +113,73 @@ def _run(queue: str, ports: str, seed: int, n: int, memoised: bool):
     seed=st.integers(min_value=0, max_value=9999),
 )
 def test_memoised_kernel_is_observationally_identical(queue, ports, seed):
-    """500+-step lockstep: memos on vs off, identical everything."""
-    n = 220  # ~3 events per task: arrival + admit/timeout + finish
-    memo = _run(queue, ports, seed, n, memoised=True)
-    bare = _run(queue, ports, seed, n, memoised=False)
-    assert memo[0] == bare[0], "metrics diverged"
-    assert memo[1] == bare[1], "event counts diverged"
-    assert memo[2] == bare[2], "port busy time diverged"
-    assert memo[3] == bare[3], "final occupancy diverged"
-    assert memo[4] == bare[4], "admission trace diverged"
-    assert memo[1] >= 500, "churn too small to exercise the memos"
+    _assert_lockstep(queue, ports, seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("members", [1, 2])
+@pytest.mark.parametrize("ports", ["serial", "multi-2", "icap"])
+@pytest.mark.parametrize("queue", QUEUE_NAMES)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=9999))
+def test_record_is_observationally_identical_on_every_cell(
+        queue, ports, members, seed):
+    _assert_lockstep(queue, ports, seed, members=members)
 
 
 def test_shape_memo_never_outlives_a_generation_bump():
-    """The invalidation contract, hit directly: both the exact-shape
-    memo and a dominance certificate go stale the moment the space
-    version bumps (``note_space_changed`` — the hook every occupancy
-    mutation reaches)."""
-    manager = LogicSpaceManager(Fabric(device("XC2S15")))
-    kernel = OnlineTaskScheduler(manager).kernel
-    kernel._note_shape_failed(3, 3, dominant=True)
-    assert kernel._shape_blocked(3, 3, count=False)
-    # dominance: an equal-or-larger footprint is blocked too
-    assert kernel._shape_blocked(4, 5, count=False)
+    """The invalidation contract, driven through the kernel: the record
+    holds verdicts about the current occupancy only.  A pass over an
+    unchanged occupancy re-probes nothing, and each path that changes
+    it — an admission, a release reported through
+    ``note_space_changed``, a proactive consolidation — empties the
+    record, so the blocked shape is probed afresh."""
+    manager = LogicSpaceManager(
+        Fabric(device("XC2S15")),
+        defrag_policy=IdleDefrag(min_fragmentation=0.0, cooldown=0.0),
+    )
+    # Four 8x2 residents leave four 8x1 slivers: room for a 2x1, and
+    # something for a consolidation to move.
+    for owner, col in enumerate((0, 3, 6, 9), start=1):
+        manager.fabric.allocate_region(Rect(0, col, 8, 2), owner)
+    kernel = SchedulingKernel(manager, queue="backfill")
+    probes = []
+    request = manager.request
+
+    def counting(height, width, owner):
+        probes.append(owner)
+        return request(height, width, owner)
+
+    manager.request = counting
+    blocked = Task(task_id=10, height=20, width=20, exec_seconds=1.0,
+                   arrival=0.0)  # never fits the 8x12 grid
+    kernel.enqueue(blocked, area=blocked.area)
+    assert probes.count(10) == 1
+    assert kernel._shape_blocked(20, 20, count=False)
+    # Dominance: the certified failure settles every larger footprint.
+    assert kernel._shape_blocked(21, 30, count=False)
+    kernel.drain()
+    assert probes.count(10) == 1, "re-probed against the same occupancy"
+
+    fits = Task(task_id=11, height=2, width=1, exec_seconds=1.0,
+                arrival=0.0)
+    kernel.enqueue(fits, area=fits.area)  # backfilled past the head
+    assert manager.fabric.footprint(11) is not None
+    assert probes.count(10) == 2, "an admission kept the record"
+
+    manager.release(11)
     kernel.note_space_changed()
-    assert not kernel._shape_blocked(3, 3, count=False)
-    assert not kernel._shape_blocked(4, 5, count=False)
+    assert not kernel._shape_blocked(20, 20, count=False)
+    kernel.drain()
+    assert probes.count(10) == 3, "a release kept the record"
+
+    outcome = kernel.maybe_defrag()
+    assert outcome is not None and outcome.moves
+    assert probes.count(10) == 4, "a consolidation kept the record"
 
 
 def test_every_memo_skip_is_backed_by_a_real_failure():
-    """Soundness under churn: whenever the memo calls a shape blocked,
+    """Soundness under churn: whenever the record calls a shape blocked,
     an actual probe of that shape against the live manager must fail —
     no admissible item is ever skipped."""
     manager = LogicSpaceManager(Fabric(device("XC2S15")))
@@ -118,3 +202,31 @@ def test_every_memo_skip_is_backed_by_a_real_failure():
     kernel._shape_blocked = checked
     scheduler.run(_churn_tasks(200, seed=3))
     assert verified[0] > 0, "the memo never fired: churn too gentle"
+
+
+@pytest.mark.parametrize(
+    "queue, ports, members, probes, member_skips, skips",
+    [
+        ("fifo", "serial", 1, 275, 0, 215),
+        ("backfill", "icap", 1, 2112, 0, 7058),
+        ("priority", "serial", 2, 319, 126, 198),
+    ],
+)
+def test_admission_work_budget(queue, ports, members, probes,
+                               member_skips, skips):
+    """Exact work counters of three seeded cells.  ``probes`` and
+    ``member_skips`` are the figures of the four-memo kernel this
+    record replaced: the record may not probe more, and the fleet's
+    per-member memo still sees member changes the record cannot.
+    ``skips`` (exact-shape plus dominance) counts every candidate the
+    record settled without a probe."""
+    __, manager = _stack(members)
+    scheduler = OnlineTaskScheduler(manager, queue=queue, ports=ports)
+    tasks = _churn_tasks(200, seed=7)
+    PERF.reset()
+    scheduler.run(tasks)
+    counts = PERF.collect()
+    assert counts["admission_probes"] == probes
+    assert counts["fleet_member_skips"] == member_skips
+    assert counts["item_memo_skips"] == 0
+    assert counts["shape_memo_skips"] + counts["dominance_skips"] == skips

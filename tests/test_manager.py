@@ -143,10 +143,3 @@ class TestTelemetry:
         manager.request(14, 21, owner=1)
         assert manager.utilization() == pytest.approx(0.25)
         assert 0.0 <= manager.fragmentation() <= 1.0
-
-    def test_outcomes_recorded(self, manager):
-        manager.request(2, 2, owner=1)
-        manager.request(99, 99, owner=2)
-        assert len(manager.outcomes) == 2
-        assert manager.outcomes[0].success
-        assert not manager.outcomes[1].success

@@ -6,6 +6,9 @@ repo deliberately carries no pytest-asyncio dependency).  Pinned:
 
 * the REST surface routes and validates: submit/status/list/cancel,
   clock control, stats, 404/405/409/400 on the documented conditions;
+* malformed requests (a bad request line, a non-integer
+  ``Content-Length``, a JSON body that is not an object) are answered
+  with a 400 and leave the server serving;
 * throttled submissions surface as **429 with a Retry-After header**
   whose value matches the door's simulated-time hint;
 * **concurrent** clients interleave safely: parallel submits, cancels
@@ -33,12 +36,16 @@ class Client:
 
     async def request(self, method: str, path: str, body=None):
         """Issue one request; returns (status, payload, headers)."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
         data = json.dumps(body).encode() if body is not None else b""
-        writer.write(
+        return await self.raw(
             (f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
              f"Content-Length: {len(data)}\r\n\r\n").encode() + data
         )
+
+    async def raw(self, request: bytes):
+        """Send ``request`` verbatim; returns (status, payload, headers)."""
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        writer.write(request)
         await writer.drain()
         raw = await reader.read()
         writer.close()
@@ -131,6 +138,46 @@ def test_validation_errors_map_to_400_and_404():
             "POST", "/clock/advance", {})
         assert status == 400
     with_api(scenario)
+
+
+def answers_400_then_serves_on(request: bytes, error: str) -> None:
+    """A bad request gets a 400 with a JSON error (not a dropped
+    connection and a logged traceback), and the server keeps serving."""
+    async def scenario(api, client):
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context))
+        status, payload, _ = await client.raw(request)
+        assert status == 400 and error in payload["error"]
+        status, payload, _ = await client.request("GET", "/healthz")
+        assert status == 200 and payload["status"] == "ok"
+        assert not unhandled
+    with_api(scenario)
+
+
+def test_malformed_request_line_is_a_400():
+    answers_400_then_serves_on(b"NONSENSE\r\n\r\n", "malformed request line")
+
+
+def test_non_integer_content_length_is_a_400():
+    answers_400_then_serves_on(
+        b"POST /tasks HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        "Content-Length is not an integer",
+    )
+
+
+def test_json_array_submit_body_is_a_400():
+    answers_400_then_serves_on(
+        b"POST /tasks HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]",
+        "not a JSON object",
+    )
+
+
+def test_json_array_clock_advance_body_is_a_400():
+    answers_400_then_serves_on(
+        b"POST /clock/advance HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]",
+        "not a JSON object",
+    )
 
 
 def test_task_listing_filters_and_limits():
