@@ -12,20 +12,14 @@ aggregate views:
 * the device-policy duel at a contended fleet size: ``least-loaded``
   and ``best-fit`` beat occupancy-blind ``round-robin``.
 
-A direct 1-member-fleet vs plain-manager run at the end demonstrates
-the proxy property the test suite pins bit-identically.
+Every run is built as a fleet; fleet size 1 is the single device.
 
 Run:  python examples/fleet_sweep.py
 """
 
 from repro.campaign import CampaignResult, CampaignSpec, run_campaign
 from repro.campaign.aggregate import GROUP_AXES
-from repro.core.manager import LogicSpaceManager
-from repro.device.devices import device
-from repro.device.fabric import Fabric
-from repro.fleet import DEVICE_POLICY_NAMES, FleetManager
-from repro.sched.scheduler import OnlineTaskScheduler
-from repro.sched.workload import make_workload
+from repro.fleet import DEVICE_POLICY_NAMES
 
 
 def main() -> None:
@@ -61,17 +55,6 @@ def main() -> None:
     print(f"\nmean rejected by fleet size: "
           f"{ {s: round(v, 2) for s, v in sorted(means.items())} }")
     assert means["1"] > means["2"] > means["4"]
-
-    # The 1-member fleet is a perfect proxy for the plain manager.
-    dev = device("XC2S15")
-    plain = OnlineTaskScheduler(
-        LogicSpaceManager(Fabric(dev))
-    ).run(make_workload("fleet-surge", dev, 0))
-    fleet = OnlineTaskScheduler(
-        FleetManager([LogicSpaceManager(Fabric(dev))])
-    ).run(make_workload("fleet-surge", dev, 0))
-    assert fleet == plain
-    print("1-member fleet vs plain manager: bit-identical metrics OK")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from repro.core.manager import LogicSpaceManager
 from repro.device.devices import device as device_by_name
 from repro.device.fabric import Fabric
 from repro.fleet.manager import FleetManager
-from repro.fleet.policies import DEFAULT_DEVICE_POLICY
 from repro.sched.scheduler import (
     ApplicationFlowScheduler,
     OnlineTaskScheduler,
@@ -183,41 +182,32 @@ def _member_manager(name: str, spec: ScenarioSpec) -> LogicSpaceManager:
     )
 
 
-def build_manager(
-    spec: ScenarioSpec, force_fleet: bool = False
-) -> LogicSpaceManager | FleetManager:
-    """Construct the (fleet of) logic-space manager(s) a spec describes.
+def build_manager(spec: ScenarioSpec) -> FleetManager:
+    """Construct the fleet of logic-space managers a spec describes.
 
-    A degenerate fleet — one member, default device-selection policy —
-    returns the plain single-device manager, exactly as every pre-fleet
-    campaign built it.  ``force_fleet`` routes even that case through a
-    1-member :class:`FleetManager`; the fleet test suite uses it to
-    prove the fleet layer is a perfect proxy (bit-identical golden
-    rows).
+    Always a :class:`FleetManager`, one member per device — a
+    single-device scenario is a 1-member fleet, which delegates every
+    call to its manager and so reproduces the single-device event
+    stream (and the golden snapshot rows) bit for bit.
     """
     names = spec.fleet_device_names()
-    if (len(names) == 1 and not force_fleet
-            and spec.device_policy == DEFAULT_DEVICE_POLICY):
-        return _member_manager(names[0], spec)
     return FleetManager(
         [_member_manager(name, spec) for name in names],
         policy=spec.device_policy,
     )
 
 
-def run_scenario(spec: ScenarioSpec,
-                 force_fleet: bool = False) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Execute one scenario end to end; pure in the spec.
 
     Dispatches on the workload family's kind: independent-task streams
     run under :class:`OnlineTaskScheduler`, application chains under
     the prefetching :class:`ApplicationFlowScheduler`; both receive the
     spec's queue discipline and reconfiguration-port model (one port
-    per fleet member).  ``force_fleet`` is the test hook described on
-    :func:`build_manager`.
+    per fleet member).
     """
     started = time.perf_counter()
-    manager = build_manager(spec, force_fleet=force_fleet)
+    manager = build_manager(spec)
     dev = manager.fabric.device
     payload = make_workload(spec.workload, dev, spec.seed, **spec.params())
     if spec.scheduler_kind == "tasks":

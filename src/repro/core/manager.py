@@ -266,9 +266,7 @@ class LogicSpaceManager:
         # answers.  Successful plans are executed immediately, which
         # bumps the generation — so a memoised *plan* is only ever
         # re-served for requests the fabric still cannot host.
-        generation = getattr(self.free_space, "generation", None)
-        token = (None if generation is None
-                 else (self.free_space, generation))
+        token = (self.free_space, self.free_space.generation)
         plan = self.planner.plan(
             self.fabric.occupancy, height, width, token=token
         )
@@ -321,9 +319,6 @@ class LogicSpaceManager:
         if not shapes:
             return
         index = self.free_space
-        generation = getattr(index, "generation", None)
-        if generation is None:
-            return  # no token naming the grid state: nothing to key on
         occupancy = self.fabric.occupancy
         self.fit.prefetch(occupancy, shapes, index)
         if self.policy is RearrangePolicy.NONE \
@@ -339,7 +334,7 @@ class LogicSpaceManager:
                     break
         if failing:
             self.planner.plan_prefetch(
-                occupancy, failing, (index, generation)
+                occupancy, failing, (index, index.generation)
             )
 
     def execute_plan(self, plan: RearrangementPlan) -> list[MoveExecution]:

@@ -13,9 +13,10 @@ single-device machinery:
   (``first-fit`` / ``round-robin`` / ``least-loaded`` / ``best-fit``)
   deciding which member a request tries first.
 
-The :class:`~repro.sched.kernel.SchedulingKernel` recognises a fleet by
-its ``members`` attribute and instantiates one reconfiguration-port
-model per member, so port charging, HALT arithmetic and proactive
+The fleet is the only manager shape the scheduling layer sees: the
+:class:`~repro.sched.kernel.SchedulingKernel` wraps a bare manager as a
+1-member fleet and instantiates one reconfiguration-port model per
+member, so port charging, HALT arithmetic and proactive
 defragmentation all stay per-device.  Campaigns sweep the axis through
 ``--fleet-size`` / ``--device-policy`` / ``--fleet-devices``
 (:mod:`repro.campaign`).

@@ -25,10 +25,11 @@ Division of labour:
   relocation path in the paper's mechanism, and the scheduling kernel
   charges each member's moves to that member's own port).
 
-A 1-member fleet is a perfect proxy for its single manager: every call
-delegates unchanged, which is what lets both schedulers run on a fleet
-with bit-identical default event streams (pinned by
-``tests/test_fleet.py`` against the golden snapshots).
+The fleet is the only manager shape the scheduling layer sees: the
+:class:`~repro.sched.kernel.SchedulingKernel` wraps a bare manager as a
+1-member fleet, and the campaign and service builders always return
+one.  A 1-member fleet delegates every call to its single manager, so
+single-device runs reproduce the golden snapshots bit for bit.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ class FleetManager:
         ] = {}
         #: members declared dead by fault injection (see
         #: :mod:`repro.faults`): :meth:`request` and
-        #: :meth:`prefetch_admission` never touch them, telemetry stops
-        #: weighting them, and the dominance certificate of a failed
-        #: request covers survivors only.  Empty outside fault runs.
+        #: :meth:`prefetch_admission` never touch them, the kernel
+        #: neither samples, defragments nor prefetches onto them, and
+        #: the dominance certificate of a failed request covers
+        #: survivors only.  Empty outside fault runs.
         self.lost: set[int] = set()
 
     # -- fleet introspection -------------------------------------------------
@@ -160,10 +162,9 @@ class FleetManager:
             if index in self.lost:
                 continue
             member = self.members[index]
-            generation = getattr(member.free_space, "generation", None)
+            generation = member.free_space.generation
             memo = self._member_shape_failed.get((index, height, width))
-            if memo is not None and generation is not None \
-                    and generation == memo[0]:
+            if memo is not None and generation == memo[0]:
                 PERF.fleet_member_skips += 1
                 dominant = dominant and memo[1]
                 covered.add(index)
@@ -180,10 +181,9 @@ class FleetManager:
                 return outcome
             dominant = dominant and outcome.dominant
             covered.add(index)
-            if generation is not None:
-                self._member_shape_failed[index, height, width] = (
-                    generation, outcome.dominant
-                )
+            self._member_shape_failed[index, height, width] = (
+                generation, outcome.dominant
+            )
         if outcome is None:
             # Every member is lost (or the fleet is empty of survivors):
             # nothing was probed, so the failure is trivially dominant —
@@ -195,23 +195,20 @@ class FleetManager:
         return outcome
 
     def prefetch_admission(self, shapes: list[tuple[int, int]]) -> None:
-        """Warm every member's fit/plan caches for one admission pass.
+        """Warm every live member's fit/plan caches for one admission pass.
 
-        Forwards the pass's candidate shapes to each member that
-        exposes the batched-probe hook
+        Forwards the pass's candidate shapes to each member's
+        batched-probe hook
         (:meth:`~repro.core.manager.LogicSpaceManager.prefetch_admission`),
-        so multi-device runs keep the same vectorised fast path a
-        single-device kernel enjoys.  Purely a cache warmer: the
-        per-member ``request`` calls that follow return bit-identical
-        outcomes with or without it — the selection policy still probes
-        members in its own preference order.
+        so every member gets the same batched fast path.  Purely a
+        cache warmer: the per-member ``request`` calls that follow
+        return bit-identical outcomes with or without it — the
+        selection policy still probes members in its own preference
+        order.
         """
         for index, member in enumerate(self.members):
-            if index in self.lost:
-                continue
-            prefetch = getattr(member, "prefetch_admission", None)
-            if prefetch is not None:
-                prefetch(shapes)
+            if index not in self.lost:
+                member.prefetch_admission(shapes)
 
     def adopt(self, owner: int, device: int, rect) -> None:
         """Re-register a resident placement on member ``device``.
@@ -221,7 +218,8 @@ class FleetManager:
         footprint is re-allocated on the member that hosted it, and the
         owner-routing map and O(1) load counters are made consistent —
         exactly the bookkeeping :meth:`request` performs on a live
-        placement, minus the policy consultation.
+        placement, minus the policy consultation.  Stuck-at fault
+        blockers enter the same way, so :meth:`release` frees them too.
         """
         self.members[device].fabric.allocate_region(rect, owner)
         self._owners[owner] = (device, rect.area)
@@ -235,31 +233,3 @@ class FleetManager:
             raise KeyError(f"owner {owner} holds no region") from None
         self._areas[index] -= area
         self.members[index].release(owner)
-
-    # -- telemetry -----------------------------------------------------------
-
-    def _site_weighted(self, read) -> float:
-        """Site-weighted mean of a per-member telemetry channel (a
-        1-member fleet reports its member's value verbatim — no float
-        round-trip may perturb the bit-identical proxy)."""
-        if len(self.members) == 1:
-            return read(self.members[0])
-        weighted = 0.0
-        sites = 0
-        for index, manager in enumerate(self.members):
-            if index in self.lost:
-                continue
-            count = manager.fabric.device.clb_count
-            weighted += read(manager) * count
-            sites += count
-        if sites == 0:
-            return 0.0
-        return weighted / sites
-
-    def fragmentation(self) -> float:
-        """Site-weighted mean fragmentation index over the members."""
-        return self._site_weighted(lambda m: m.fragmentation())
-
-    def utilization(self) -> float:
-        """Site-weighted mean occupancy over the members."""
-        return self._site_weighted(lambda m: m.utilization())

@@ -22,15 +22,15 @@ keep only the bookkeeping unique to that shape.  With the default
 ``fifo`` + ``serial`` policies the kernel is event-for-event identical
 to the historical schedulers — the golden campaign snapshots pin it.
 
-The kernel also carries the *device axis*: handed a
-:class:`~repro.fleet.manager.FleetManager` (recognised by its
-``members`` attribute) instead of a single manager, it instantiates one
-port model **per member device**, charges each placement to the port of
-the device that accepted it (``PlacementOutcome.device``), and runs the
-proactive-defrag trigger per fabric against that fabric's own port-idle
-signal.  Admission itself is unchanged — the fleet manager consults its
-device-selection policy inside ``request`` — so a 1-member fleet is
-event-for-event identical to the plain single-manager kernel.
+The kernel also carries the *device axis*: it drives a
+:class:`~repro.fleet.manager.FleetManager` (a bare manager is wrapped as
+a 1-member fleet), instantiates one port model **per member device**,
+charges each placement to the port of the device that accepted it
+(``PlacementOutcome.device``), and runs the proactive-defrag trigger per
+fabric against that fabric's own port-idle signal.  Admission itself is
+the fleet's — it consults its device-selection policy inside
+``request`` — and a 1-member fleet delegates every call to its manager,
+so single-device runs reproduce the golden snapshots unchanged.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.core.manager import (
     PlacementOutcome,
 )
 from repro.device.geometry import Rect
+from repro.fleet.manager import FleetManager
 from repro.perf import PERF
 
 from .events import EventHandle, EventQueue
@@ -209,7 +210,7 @@ class SchedulingKernel:
 
     def __init__(
         self,
-        manager,
+        manager: LogicSpaceManager | FleetManager,
         queue: str | QueueDiscipline = "fifo",
         ports: str | PortModel = "serial",
         on_admitted: Callable[[Admissible, PlacementOutcome], None]
@@ -219,16 +220,14 @@ class SchedulingKernel:
         sample_on_defrag: bool = True,
         prefetch: str = "never",
     ) -> None:
-        self.manager = manager
-        members = getattr(manager, "members", None)
-        #: the fabrics the kernel drives: the fleet's members, or the
-        #: single manager itself.  Index i's port is ``ports[i]``.
-        self._managers: list[LogicSpaceManager] = (
-            list(members) if members is not None else [manager]
-        )
+        if not isinstance(manager, FleetManager):
+            manager = FleetManager([manager])
+        #: the fleet the kernel drives (a bare manager arrives wrapped as
+        #: a 1-member fleet).  Member i's port is ``ports[i]``.
+        self.manager: FleetManager = manager
         self.events = EventQueue()
         self.queue = make_queue(queue)
-        if not isinstance(ports, (str, int)) and len(self._managers) > 1:
+        if not isinstance(ports, (str, int)) and len(manager) > 1:
             raise ValueError(
                 "a pre-built port-model instance cannot be shared across "
                 "a fleet; pass a model name so each device gets its own"
@@ -236,7 +235,7 @@ class SchedulingKernel:
         #: one reconfiguration-port model per device, so configuration
         #: bandwidth is a per-fabric resource.
         self.ports = [
-            make_port_model(ports, self.events) for _ in self._managers
+            make_port_model(ports, self.events) for _ in manager.members
         ]
         #: configuration-prefetch mode (see :mod:`repro.sched.prefetch`).
         #: ``never`` builds neither cache nor planner, so every code
@@ -246,7 +245,7 @@ class SchedulingKernel:
         #: ``never`` mode); configuration memory is a per-fabric
         #: resource exactly like the port serving it.
         self.caches: list[BitstreamCache] | None = (
-            [BitstreamCache() for _ in self._managers]
+            [BitstreamCache() for _ in manager.members]
             if self.prefetch_mode != "never" else None
         )
         #: outstanding application-successor offers, by bitstream key
@@ -288,12 +287,6 @@ class SchedulingKernel:
         #: per-member (fragmentation, utilization) readings of the most
         #: recent :meth:`sample` (one pair for a single-device kernel).
         self.member_samples: list[tuple[float, float]] = []
-        #: fleet members declared dead by fault injection (see
-        #: :mod:`repro.faults`): their fabrics are neither sampled nor
-        #: defragmented, their ports are never charged again and the
-        #: prefetch planner stops predicting onto them.  Empty — and
-        #: every check below a constant-false — outside fault runs.
-        self.lost_members: set[int] = set()
 
     # -- event plumbing -----------------------------------------------------
 
@@ -434,14 +427,11 @@ class SchedulingKernel:
         and again below yields the same items.  Shapes the failure
         record already settles are left out: the loop below never
         probes them, so warming their caches (and running their
-        eviction screens) would be pure waste.  A fleet manager forwards
-        the batch to every member that exposes the hook (see
+        eviction screens) would be pure waste.  The fleet forwards the
+        batch to every live member (see
         :meth:`repro.fleet.manager.FleetManager.prefetch_admission`),
         so multi-device runs keep the batched-probe fast path.
         """
-        prefetch = getattr(self.manager, "prefetch_admission", None)
-        if prefetch is None:
-            return
         failed = self._failed_shapes
         shapes: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
@@ -455,7 +445,7 @@ class SchedulingKernel:
             if not self._shape_blocked(*shape, count=False):
                 shapes.append(shape)
         if shapes:
-            prefetch(shapes)
+            self.manager.prefetch_admission(shapes)
 
     def drain(self) -> None:
         """Place waiting items in discipline order until blocked.
@@ -508,7 +498,7 @@ class SchedulingKernel:
         """Count a placement's moves, apply HALT stops, charge the port.
 
         The port charged is the one of the device that accepted the
-        request (``outcome.device``; always 0 outside a fleet).
+        request (``outcome.device``; always 0 on a 1-member fleet).
         Returns the instant the item's own configuration completes (the
         end of its contiguous port job).
 
@@ -594,16 +584,14 @@ class SchedulingKernel:
 
     def _predict_member(self, height: int, width: int) -> int:
         """The fleet member a future request would most likely land on
-        (member 0 outside a fleet): the device-selection policy's first
-        preference.  Only a prediction — a wrong guess costs a cache
-        miss, never correctness."""
-        if len(self._managers) == 1:
+        (always member 0 of a 1-member fleet): the device-selection
+        policy's first live preference.  Only a prediction — a wrong
+        guess costs a cache miss, never correctness."""
+        fleet = self.manager
+        if len(fleet) == 1:
             return 0
-        policy = getattr(self.manager, "policy", None)
-        if policy is None:
-            return 0
-        for index in policy.order(self.manager, height, width):
-            if index not in self.lost_members:
+        for index in fleet.policy.order(fleet, height, width):
+            if index not in fleet.lost:
                 return index
         return 0
 
@@ -643,7 +631,7 @@ class SchedulingKernel:
             device = (request.device if request.device is not None
                       else self._predict_member(request.height,
                                                 request.width))
-            if device in self.lost_members:
+            if device in self.manager.lost:
                 continue
             cache = self.caches[device]
             if request.key in cache:
@@ -654,7 +642,7 @@ class SchedulingKernel:
                 continue
             if not cache.admits(request.next_use):
                 continue
-            seconds = self._managers[device].config_seconds(
+            seconds = self.manager.members[device].config_seconds(
                 Rect(0, 0, request.height, request.width)
             )
             __, ready = port.acquire(config_seconds=seconds)
@@ -710,7 +698,8 @@ class SchedulingKernel:
         memory — when the device dies the residents die with it, so the
         cache is emptied and every wishlist offer pinned to that device
         is withdrawn.  Called by the failover machinery right after the
-        member joins :attr:`lost_members`; a no-op in ``never`` mode.
+        member joins the fleet's ``lost`` set; a no-op in ``never``
+        mode.
         """
         if self.caches is not None:
             self.caches[index] = BitstreamCache()
@@ -763,13 +752,14 @@ class SchedulingKernel:
         are applied to the moved items; if any device consolidated,
         ``on_space_reclaimed`` wakes waiting work once — the reclaimed
         space may now host something that failed before.  Returns the
-        last executed outcome (the single device's outcome outside a
+        last executed outcome (the single device's outcome on a 1-member
         fleet), or ``None`` when no trigger fired.
         """
         fired: DefragOutcome | None = None
+        lost = self.manager.lost
         for index, (manager, port) in enumerate(
-                zip(self._managers, self.ports)):
-            if index in self.lost_members:
+                zip(self.manager.members, self.ports)):
+            if index in lost:
                 continue
             outcome = manager.maybe_defrag(
                 now=self.events.now,
@@ -810,16 +800,18 @@ class SchedulingKernel:
         per-member readings of the latest sample stay available in
         :attr:`member_samples` for telemetry consumers.
         """
+        members = self.manager.members
+        lost = self.manager.lost
         samples = [
             (m.fragmentation(), m.utilization())
-            if i not in self.lost_members else (0.0, 0.0)
-            for i, m in enumerate(self._managers)
+            if i not in lost else (0.0, 0.0)
+            for i, m in enumerate(members)
         ]
         self.member_samples = samples
         live = [
-            (self._managers[i], pair)
+            (members[i], pair)
             for i, pair in enumerate(samples)
-            if i not in self.lost_members
+            if i not in lost
         ]
         if not live:
             frag = util = 0.0

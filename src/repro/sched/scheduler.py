@@ -150,9 +150,10 @@ def summarize_application_runs(
 class OnlineTaskScheduler:
     """On-line scheduler for independent tasks (pluggable policies).
 
-    ``manager`` is a :class:`LogicSpaceManager` or a
-    :class:`~repro.fleet.manager.FleetManager`; the kernel derives the
-    device axis (one port per fabric) from it.
+    ``manager`` is a :class:`~repro.core.manager.LogicSpaceManager` or a
+    :class:`~repro.fleet.manager.FleetManager`.  The kernel wraps a bare
+    manager as a 1-member fleet and derives the device axis (one port
+    per fabric) from the fleet; :attr:`manager` is that fleet.
     """
 
     def __init__(self, manager,
@@ -167,7 +168,7 @@ class OnlineTaskScheduler:
             on_admitted=self._on_admitted,
             halt_listener=self._on_halt,
         )
-        self.manager = manager
+        self.manager = self.kernel.manager
         #: task_id -> running Task, for HALT-stop attribution.
         self._running_tasks: dict[int, Task] = {}
         #: task_id -> queueing epoch, bumped every time the task enters
@@ -315,17 +316,12 @@ class OnlineTaskScheduler:
         """Hook: ``task`` was lost to a fault and no surviving member
         could ever host its footprint."""
 
-    def _device_of(self, owner: int) -> int:
-        """Fleet member hosting ``owner`` (0 outside a fleet)."""
-        device_of = getattr(self.manager, "device_of", None)
-        return device_of(owner) if device_of is not None else 0
-
     def _fits_any_survivor(self, height: int, width: int) -> bool:
         """Whether some surviving fabric could *ever* host the shape
         (pure bounds check — current occupancy is irrelevant: space
         frees up, dead silicon does not)."""
-        for index, manager in enumerate(self.kernel._managers):
-            if index in self.kernel.lost_members:
+        for index, manager in enumerate(self.manager.members):
+            if index in self.manager.lost:
                 continue
             device = manager.fabric.device
             if height <= device.clb_rows and width <= device.clb_cols:
@@ -406,31 +402,32 @@ class OnlineTaskScheduler:
     def kill_member(self, index: int) -> dict:
         """Declare fleet member ``index`` dead and fail its work over.
 
-        The member is marked lost everywhere (fleet routing, kernel
-        telemetry/defrag/prefetch, its resident-bitstream cache), and
+        The member is marked lost once, in the fleet's ``lost`` set
+        (fleet routing and the kernel's telemetry, defrag and prefetch
+        all read it), its resident-bitstream cache is dropped, and
         every task it was running is displaced and recovered through
         :meth:`_recover` in task-id order.  Returns a summary dict with
         the ``relocated`` / ``restarted`` / ``dropped`` task ids.
-        Idempotent: killing a dead member is a no-op.
+        Idempotent: killing a dead member is a no-op.  A single device
+        has no survivor to fail over to, so a 1-member fleet refuses.
         """
         kernel = self.kernel
-        members = getattr(self.manager, "members", None)
-        if members is None:
+        fleet = self.manager
+        if len(fleet) == 1:
             raise ValueError("member death requires a fleet manager")
-        if not 0 <= index < len(members):
+        if not 0 <= index < len(fleet):
             raise ValueError(f"no fleet member {index}")
         summary = {"member": index, "relocated": [], "restarted": [],
                    "dropped": []}
-        if index in kernel.lost_members:
+        if index in fleet.lost:
             return summary
         now = self.events.now
         kernel.metrics.faults_injected += 1
         kernel.metrics.members_lost += 1
-        kernel.lost_members.add(index)
-        self.manager.mark_lost(index)
+        fleet.mark_lost(index)
         kernel.forget_member(index)
         displaced = []
-        for owner in self.manager.residents_of(index):
+        for owner in fleet.residents_of(index):
             if owner not in kernel.running:
                 continue  # stuck-at blockers die with the fabric
             material = self._displace(owner)
@@ -452,7 +449,7 @@ class OnlineTaskScheduler:
         blockers (one owner per maximal free run per row, so each
         blocker's footprint stays rectangular).  Returns the
         ``(owner, rect)`` blockers allocated."""
-        fabric = self.kernel._managers[device].fabric
+        fabric = self.manager.members[device].fabric
         blockers: list[tuple] = []
         if fabric.region_is_free(rect):
             runs = [rect]
@@ -473,23 +470,9 @@ class OnlineTaskScheduler:
                         col += 1
         for run in runs:
             owner = self._next_fault_owner()
-            adopt = getattr(self.manager, "adopt", None)
-            if adopt is not None:
-                adopt(owner, device, run)
-            else:
-                fabric.allocate_region(run, owner)
+            self.manager.adopt(owner, device, run)
             blockers.append((owner, run))
         return blockers
-
-    def _release_fault_owner(self, device: int, owner: int) -> None:
-        """Free one blocker through the path that allocated it."""
-        if getattr(self.manager, "adopt", None) is not None:
-            self.manager.release(owner)
-        else:
-            fabric = self.kernel._managers[device].fabric
-            rect = fabric.footprint(owner)
-            if rect is not None:
-                fabric.free_region(rect, owner)
 
     def inject_region_fault(self, device: int, row: int, col: int,
                             height: int, width: int,
@@ -506,9 +489,9 @@ class OnlineTaskScheduler:
         Returns the recovery summary dict (plus the ``fault`` id).
         """
         kernel = self.kernel
-        if not 0 <= device < len(kernel._managers):
+        if not 0 <= device < len(self.manager):
             raise ValueError(f"no device {device}")
-        fabric = kernel._managers[device].fabric
+        fabric = self.manager.members[device].fabric
         rect = Rect(row, col, height, width)
         if not fabric.in_bounds(rect):
             raise ValueError(f"region {rect} out of bounds on "
@@ -517,7 +500,7 @@ class OnlineTaskScheduler:
         kernel.metrics.faults_injected += 1
         summary: dict = {"device": device, "relocated": [],
                          "restarted": [], "dropped": []}
-        if device in kernel.lost_members:
+        if device in self.manager.lost:
             summary["fault"] = None
             return summary  # the whole fabric is already gone
         displaced = []
@@ -525,7 +508,7 @@ class OnlineTaskScheduler:
             task = self._running_tasks.get(owner)
             if task is None or task.rect is None:
                 continue
-            if self._device_of(owner) != device:
+            if self.manager.device_of(owner) != device:
                 continue
             if not task.rect.overlaps(rect):
                 continue
@@ -560,7 +543,7 @@ class OnlineTaskScheduler:
         if record is None:
             return
         for owner, _rect in record["owners"]:
-            self._release_fault_owner(record["device"], owner)
+            self.manager.release(owner)
         self.kernel.note_space_changed()
         self.kernel.sample()
         self.kernel.drain()
@@ -581,7 +564,7 @@ class OnlineTaskScheduler:
         if retries < 0 or backoff < 0:
             raise ValueError("retries and backoff cannot be negative")
         kernel.metrics.faults_injected += 1
-        if device in kernel.lost_members:
+        if device in self.manager.lost:
             return 0.0
         seconds = retries * backoff
         kernel.ports[device].acquire(move_seconds=seconds)
@@ -594,11 +577,11 @@ class OnlineTaskScheduler:
         heal instants) and the blocker-owner sequence.  ``None`` when
         no fault was ever injected, so fault-free snapshots keep their
         historical shape."""
-        if not (self.kernel.lost_members or self._fault_regions
+        if not (self.manager.lost or self._fault_regions
                 or self._fault_owner_seq or self._fault_seq):
             return None
         return {
-            "lost_members": sorted(self.kernel.lost_members),
+            "lost_members": sorted(self.manager.lost),
             "owner_seq": self._fault_owner_seq,
             "fault_seq": self._fault_seq,
             "regions": [
@@ -623,12 +606,8 @@ class OnlineTaskScheduler:
         No-op for ``None``."""
         if state is None:
             return
-        kernel = self.kernel
         for index in state["lost_members"]:
-            kernel.lost_members.add(int(index))
-            mark_lost = getattr(self.manager, "mark_lost", None)
-            if mark_lost is not None:
-                mark_lost(int(index))
+            self.manager.mark_lost(int(index))
         self._fault_owner_seq = int(state["owner_seq"])
         self._fault_seq = int(state.get("fault_seq", 0))
         for row in state["regions"]:
@@ -636,13 +615,7 @@ class OnlineTaskScheduler:
             blockers = []
             for owner, (r, c, h, w) in row["owners"]:
                 rect = Rect(int(r), int(c), int(h), int(w))
-                adopt = getattr(self.manager, "adopt", None)
-                if adopt is not None:
-                    adopt(int(owner), device, rect)
-                else:
-                    kernel._managers[device].fabric.allocate_region(
-                        rect, int(owner)
-                    )
+                self.manager.adopt(int(owner), device, rect)
                 blockers.append((int(owner), rect))
             heal_at = (float(row["heal_at"])
                        if row["heal_at"] is not None else None)
@@ -661,10 +634,11 @@ class OnlineTaskScheduler:
 class ApplicationFlowScheduler:
     """Fig. 1: applications sharing the device in space and time.
 
-    ``manager`` is a :class:`LogicSpaceManager` or a
-    :class:`~repro.fleet.manager.FleetManager` (function chains then
-    spread over the fleet, each function configured on the member its
-    device-selection policy picked).
+    ``manager`` is a :class:`~repro.core.manager.LogicSpaceManager` or a
+    :class:`~repro.fleet.manager.FleetManager`; like the task scheduler,
+    :attr:`manager` is the kernel's fleet (function chains spread over
+    it, each function configured on the member its device-selection
+    policy picked).
     """
 
     def __init__(self, manager,
@@ -672,7 +646,6 @@ class ApplicationFlowScheduler:
                  queue: str | QueueDiscipline = "fifo",
                  ports: str | PortModel = "serial",
                  prefetch_mode: str = "never") -> None:
-        self.manager = manager
         self.prefetch = prefetch
         self.kernel = SchedulingKernel(
             manager,
@@ -681,6 +654,7 @@ class ApplicationFlowScheduler:
             on_space_reclaimed=self._retry_stalled,
             sample_on_defrag=False,
         )
+        self.manager = self.kernel.manager
         self._owner_seq = 1000
         #: stalled (application, function-index) records, woken in the
         #: queue discipline's order whenever space is released.

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import math
 from urllib.parse import parse_qs, urlsplit
 
 from . import checkpoint
@@ -64,6 +66,9 @@ _REASONS = {
 }
 
 
+_LOG = logging.getLogger(__name__)
+
+
 class _HttpError(Exception):
     """A handler-raised HTTP failure (status + JSON payload)."""
 
@@ -71,6 +76,27 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.payload = {"error": message}
+
+
+def _number(body: dict, name: str, kind: type = float, default=None):
+    """Numeric body field ``name`` converted by ``kind`` (``int`` or
+    ``float``).
+
+    An absent field gives ``default``, and so does ``null`` when the
+    default is ``None``.  Anything else that is not a finite JSON number
+    (of integral value, for ``int``) is a 400: a string, a boolean, a
+    ``null`` where a number is required, NaN or an infinity.
+    """
+    value = body.get(name, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) \
+            or (kind is int and value != int(value)):
+        wanted = "an integer" if kind is int else "a finite number"
+        raise _HttpError(400, f"field {name!r} must be {wanted}, "
+                              f"got {value!r}")
+    return kind(value)
 
 
 class ServiceAPI:
@@ -130,6 +156,14 @@ class ServiceAPI:
                 status, payload, headers = exc.status, exc.payload, {}
             except (KeyError, ValueError) as exc:
                 status, payload, headers = 400, {"error": str(exc)}, {}
+            except (ConnectionError, asyncio.IncompleteReadError):
+                raise
+            except Exception as exc:
+                # A bug, not a bad request: answer it rather than drop
+                # the connection, and keep the traceback for operators.
+                _LOG.exception("error serving a request")
+                status, headers = 500, {}
+                payload = {"error": f"{type(exc).__name__}: {exc}"}
             await self._respond(writer, status, payload, headers)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -221,8 +255,8 @@ class ServiceAPI:
             return self._task_detail(method, path)
         if path == "/clock/advance" and method == "POST":
             now = service.advance(
-                until=body.get("until"),
-                seconds=body.get("seconds"),
+                until=_number(body, "until"),
+                seconds=_number(body, "seconds"),
             )
             return 200, {"now": now}, {}
         if path == "/clock/settle" and method == "POST":
@@ -251,11 +285,11 @@ class ServiceAPI:
         raise _HttpError(404, f"no route for {method} {path}")
 
     def _submit(self, body: dict) -> tuple[int, dict, dict]:
-        """POST /tasks: one submission through the admission door."""
+        """POST /tasks: one submission through the admission door (the
+        service validates the numeric fields: a bad one is a 400)."""
         try:
             view = self.service.submit(
-                int(body["height"]), int(body["width"]),
-                float(body["exec_seconds"]),
+                body["height"], body["width"], body["exec_seconds"],
                 tenant=str(body.get("tenant", "default")),
                 qos=str(body.get("qos", "best-effort")),
                 max_wait=body.get("max_wait"),
@@ -273,17 +307,16 @@ class ServiceAPI:
             kind = str(body["kind"])
         except KeyError:
             raise _HttpError(400, "missing field 'kind'") from None
-        duration = body.get("duration")
         summary = self.service.inject_fault(
             kind,
-            member=int(body.get("member", 0)),
-            row=int(body.get("row", 0)),
-            col=int(body.get("col", 0)),
-            height=int(body.get("height", 0)),
-            width=int(body.get("width", 0)),
-            duration=float(duration) if duration is not None else None,
-            retries=int(body.get("retries", 3)),
-            backoff=float(body.get("backoff", 0.2)),
+            member=_number(body, "member", int, 0),
+            row=_number(body, "row", int, 0),
+            col=_number(body, "col", int, 0),
+            height=_number(body, "height", int, 0),
+            width=_number(body, "width", int, 0),
+            duration=_number(body, "duration"),
+            retries=_number(body, "retries", int, 3),
+            backoff=_number(body, "backoff", float, 0.2),
         )
         return 200, summary, {}
 

@@ -4,11 +4,11 @@ The paper's run-time manager is inherently *online* — functions arrive,
 are admitted or refused, execute and leave while the system keeps
 running — but the batch campaigns (:mod:`repro.campaign`) always drain
 a pre-generated stream to completion.  :class:`ReproService` closes
-that gap: it keeps a :class:`~repro.sched.kernel.SchedulingKernel` (over
-a single :class:`~repro.core.manager.LogicSpaceManager` or a
-:class:`~repro.fleet.manager.FleetManager`) alive indefinitely and
-feeds it submissions one at a time, advancing the simulated clock with
-the external-clock hooks the kernel grew for exactly this
+that gap: it keeps a :class:`~repro.sched.kernel.SchedulingKernel`
+(over a :class:`~repro.fleet.manager.FleetManager` of one or more
+devices) alive indefinitely and feeds it submissions one at a time,
+advancing the simulated clock with the external-clock hooks the kernel
+grew for exactly this
 (:meth:`~repro.sched.kernel.SchedulingKernel.advance`).
 
 Division of labour:
@@ -32,6 +32,8 @@ from its inputs — the property the checkpoint round-trip test pins.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -108,13 +110,13 @@ class ServiceConfig:
         return cls(**data)
 
 
-def build_manager(config: ServiceConfig) -> LogicSpaceManager | FleetManager:
-    """Construct the (fleet of) manager(s) a service config describes.
+def build_manager(config: ServiceConfig) -> FleetManager:
+    """Construct the fleet of managers a service config describes.
 
-    Mirrors the campaign runner's construction rules: a 1-member
-    default-policy fleet collapses to the plain single-device manager,
-    so a small service is event-for-event comparable to the equivalent
-    batch scenario.
+    Mirrors the campaign runner's construction rules: always a
+    :class:`FleetManager`, one member per device, so a single-device
+    service is event-for-event comparable to the equivalent batch
+    scenario.
     """
     def member(name: str) -> LogicSpaceManager:
         dev = device_by_name(name)
@@ -126,11 +128,32 @@ def build_manager(config: ServiceConfig) -> LogicSpaceManager | FleetManager:
             defrag_policy=config.defrag,
         )
 
-    names = config.member_names()
-    if len(names) == 1:
-        return member(names[0])
-    return FleetManager([member(name) for name in names],
+    return FleetManager([member(name) for name in config.member_names()],
                         policy=config.device_policy)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number (a boolean is not)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_submission(height, width, exec_seconds, max_wait, at) -> None:
+    """Raise :class:`ValueError` unless a submission's numeric fields
+    are well formed (the rules :meth:`ReproService.submit` documents)."""
+    for name, value in (("height", height), ("width", width)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, "
+                             f"got {value!r}")
+    if not _finite(exec_seconds) or exec_seconds < 0:
+        raise ValueError("exec_seconds must be a finite number >= 0, "
+                         f"got {exec_seconds!r}")
+    if max_wait is not None and (not _finite(max_wait) or max_wait < 0):
+        raise ValueError("max_wait must be null or a finite number >= 0, "
+                         f"got {max_wait!r}")
+    if at is not None and not _finite(at):
+        raise ValueError(f"at must be null or a finite number, got {at!r}")
 
 
 class ServiceEngine(OnlineTaskScheduler):
@@ -366,7 +389,15 @@ class ReproService:
         ``admitted: False`` plus ``retry_after``/``reason`` (the HTTP
         layer turns it into a 429).  Admitted submissions return the
         task's status view (``admitted: True``).
+
+        A malformed submission — a shape that is not a pair of integers
+        >= 1, a negative or non-finite ``exec_seconds`` or ``max_wait``,
+        a non-finite ``at``, an unknown ``qos`` — raises
+        :class:`ValueError` (the HTTP layer's 400) before the clock
+        moves or the door counts it, so it leaves no trace.
         """
+        _check_submission(height, width, exec_seconds, max_wait, at)
+        get_qos(qos)
         if at is not None:
             self.advance(at)
         decision = self.door.admit(tenant, qos, self.now,
@@ -379,9 +410,10 @@ class ReproService:
                 "reason": decision.reason,
                 "retry_after": decision.retry_after,
             }
-        patience = max_wait if max_wait is not None else decision.qos.patience
+        patience = (float(max_wait) if max_wait is not None
+                    else decision.qos.patience)
         task = self.engine.submit(
-            height, width, exec_seconds,
+            int(height), int(width), float(exec_seconds),
             max_wait=patience,
             priority=decision.qos.priority,
         )

@@ -15,7 +15,11 @@ is synchronous, so *between API calls* is always quiescent);
 guarantee — asserted by the round-trip tests and re-proved by the
 service benchmark — is that a restored service produces the **same
 journal and telemetry streams, bit for bit**, as the original had it
-never been interrupted.
+never been interrupted.  The kernel always drives a fleet (one member
+on a single-device service), so every running task and every stuck-at
+fault blocker is re-registered through
+:meth:`~repro.fleet.manager.FleetManager.adopt`, whatever the fleet
+size.
 
 Two deliberate non-goals, documented so nobody chases "missing" state:
 
@@ -35,7 +39,6 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.core.manager import LogicSpaceManager
 from repro.device.geometry import Rect
 from repro.sched.kernel import ScheduleMetrics
 from repro.sched.tasks import Task, TaskState
@@ -89,7 +92,7 @@ def snapshot(service: ReproService) -> dict:
         # rearrangement may have relocated the task since placement, so
         # the task record's placement-time rect cannot be trusted here.
         device = engine.devices[owner]
-        rect = kernel._managers[device].fabric.footprint(owner)
+        rect = kernel.manager.members[device].fabric.footprint(owner)
         running.append({
             "task": owner,
             "finish_at": handle.time,
@@ -113,7 +116,7 @@ def snapshot(service: ReproService) -> dict:
         "ports": [port.export_state() for port in kernel.ports],
         "defrag_last_attempt": [
             member.defrag_policy._last_attempt
-            for member in kernel._managers
+            for member in kernel.manager.members
         ],
         "metrics": asdict(kernel.metrics),
         # Resident-bitstream caches + planner wishlist (None when the
@@ -159,21 +162,6 @@ def _load_task(row: dict) -> Task:
     return task
 
 
-def _adopt(service: ReproService, task: Task, rect: Rect) -> None:
-    """Re-establish a running task's placement on its hosting fabric.
-
-    ``rect`` is the snapshot's *current* region for the task, which may
-    differ from ``task.rect`` (the placement-time record) when a
-    rearrangement relocated the task while it ran.
-    """
-    device = service.engine.devices[task.task_id]
-    manager = service.manager
-    if isinstance(manager, LogicSpaceManager):
-        manager.fabric.allocate_region(rect, task.task_id)
-    else:
-        manager.adopt(task.task_id, device, rect)
-
-
 def restore(state: dict) -> ReproService:
     """Rebuild a service from a :func:`snapshot` document.
 
@@ -209,11 +197,14 @@ def restore(state: dict) -> ReproService:
     # their finish events, ordered by (finish, id) — distinct instants
     # in practice, so event order matches the uninterrupted run (and a
     # tie would be harmless anyway: timeout/finish collisions on the
-    # same task are no-ops in whichever order they fire).
+    # same task are no-ops in whichever order they fire).  The region
+    # is the snapshot's *current* one, which differs from ``task.rect``
+    # (the placement-time record) when a rearrangement moved the task.
     for row in sorted(state["running"],
                       key=lambda r: (r["finish_at"], r["task"])):
         task = engine.tasks[row["task"]]
-        _adopt(service, task, Rect(*row["rect"]))
+        kernel.manager.adopt(task.task_id, engine.devices[task.task_id],
+                             Rect(*row["rect"]))
         engine._running_tasks[task.task_id] = task
         kernel.start_running(
             task.task_id, float(row["finish_at"]),
@@ -249,7 +240,7 @@ def restore(state: dict) -> ReproService:
 
     for port, port_state in zip(kernel.ports, state["ports"]):
         port.restore_state(port_state)
-    for member, last in zip(kernel._managers,
+    for member, last in zip(kernel.manager.members,
                             state["defrag_last_attempt"]):
         member.defrag_policy._last_attempt = last
     kernel.metrics = ScheduleMetrics(**state["metrics"])

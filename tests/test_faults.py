@@ -168,7 +168,7 @@ def test_installed_plan_fires_on_the_scheduler_timeline():
     make_fault_plan("kill-member", device("XC2S15"), 2, 0).install(scheduler)
     metrics = scheduler.run([Task(1, 3, 3, 1.0, 0.0)])
     assert metrics.members_lost == 1
-    assert 1 in scheduler.kernel.lost_members
+    assert 1 in scheduler.kernel.manager.lost
 
 
 # -- failover: relocate / restart / drop ------------------------------------
@@ -308,8 +308,12 @@ def test_stale_patience_timeout_cannot_reject_a_restarted_task():
 # -- region faults + port flakes --------------------------------------------
 
 
-def test_region_fault_displaces_and_relocates_on_the_same_member():
-    scheduler = single_scheduler()
+@pytest.mark.parametrize("build", [
+    single_scheduler,
+    lambda: OnlineTaskScheduler(fleet_of(["XC2S15"] * 2)),
+], ids=["single", "fleet-2"])
+def test_region_fault_displaces_and_relocates_on_the_same_member(build):
+    scheduler = build()
     task = Task(1, 2, 2, 5.0, 0.0)
     summaries = []
     scheduler.events.at(1.0, lambda: summaries.append(
@@ -319,13 +323,17 @@ def test_region_fault_displaces_and_relocates_on_the_same_member():
     assert summaries[0]["relocated"] == [1]
     assert metrics.relocated_tasks == 1
     assert metrics.finished == 1
-    # The task moved off the bad silicon but stayed on the only device.
+    # The task moved off the bad silicon but stayed on member 0.
     assert (task.rect.row, task.rect.col) != (0, 0)
     # The transient region healed: no active fault regions remain and
     # the fabric is completely free again.
     assert scheduler._fault_regions == {}
-    fabric = scheduler.kernel._managers[0].fabric
+    fabric = scheduler.kernel.manager.members[0].fabric
     assert (fabric.occupancy != 0).sum() == 0
+    # Blockers went in through the fleet's adopt and out through its
+    # release, so its routing map and load counter are empty again.
+    assert scheduler.manager.load(0) == 0.0
+    assert scheduler.manager.residents_of(0) == []
 
 
 def test_permanent_region_fault_blocks_with_fault_owners():
@@ -335,7 +343,7 @@ def test_permanent_region_fault_blocks_with_fault_owners():
     record = scheduler._fault_regions[1]
     assert record["heal_at"] is None
     assert all(owner > FAULT_OWNER_BASE for owner, _ in record["owners"])
-    fabric = scheduler.kernel._managers[0].fabric
+    fabric = scheduler.kernel.manager.members[0].fabric
     assert (fabric.occupancy != 0).sum() == 3 * 4
     with pytest.raises(ValueError, match="out of bounds"):
         scheduler.inject_region_fault(0, 7, 10, 4, 4)
@@ -374,7 +382,7 @@ def test_export_fault_state_roundtrip_on_a_fresh_scheduler():
     fresh = single_scheduler()
     fresh.restore_fault_state(state)
     assert fresh.export_fault_state() == state
-    occupied = (fresh.kernel._managers[0].fabric.occupancy != 0).sum()
+    occupied = (fresh.kernel.manager.members[0].fabric.occupancy != 0).sum()
     assert occupied == 2 * 2
 
 

@@ -8,9 +8,10 @@ Three claims are pinned here:
 * :class:`~repro.fleet.manager.FleetManager` routes requests/releases
   to the right member and keeps its O(1) load counters true;
 * a 1-member fleet is a *perfect proxy* for its single manager: both
-  schedulers produce bit-identical metrics through it, and the golden
-  24-run campaign grid reproduces its committed snapshot rows when
-  forced through the fleet layer (``run_scenario(..., force_fleet=True)``).
+  schedulers produce bit-identical metrics through it under every
+  device-selection policy.  Every campaign run is built as a fleet, so
+  ``tests/test_golden_campaign.py`` checks the golden grid through this
+  same layer.
 """
 
 import pytest
@@ -28,12 +29,6 @@ from repro.fleet import (
 )
 from repro.sched.scheduler import ApplicationFlowScheduler, OnlineTaskScheduler
 from repro.sched.workload import fleet_surge_tasks, make_workload
-
-from test_golden_campaign import (
-    GOLDEN_GRID,
-    GOLDEN_PATH,
-    check_against_snapshot,
-)
 
 
 def manager_for(name: str = "XC2S15") -> LogicSpaceManager:
@@ -150,18 +145,6 @@ def test_heterogeneous_fleet_places_oversized_on_the_big_member():
     assert fleet.device_names == ("XC2S15", "XCV200")
 
 
-def test_fleet_telemetry_aggregates_site_weighted():
-    fleet = fleet_of(2)
-    fleet.request(4, 4, 1)
-    util = fleet.utilization()
-    member = fleet.members[0]
-    expected = member.utilization() * member.fabric.device.clb_count / (
-        2 * member.fabric.device.clb_count
-    )
-    assert util == pytest.approx(expected)
-    assert 0.0 <= fleet.fragmentation() <= 1.0
-
-
 def test_fleet_rejects_empty_member_list():
     with pytest.raises(ValueError):
         FleetManager([])
@@ -189,20 +172,6 @@ def test_single_member_fleet_is_bit_identical_for_apps():
     fleet = ApplicationFlowScheduler(fleet_of(1))
     fleet.run(make_workload("codec-swap", dev, 1))
     assert fleet.metrics == plain.metrics
-
-
-def test_golden_grid_reproduces_through_the_fleet_layer():
-    """run_scenario(force_fleet=True) wraps every run in a 1-member
-    fleet; the committed golden snapshot must reproduce bit-identically
-    (the acceptance claim that the fleet layer is a perfect proxy)."""
-    from repro.campaign.aggregate import CampaignResult
-
-    specs = CampaignSpec(**GOLDEN_GRID).expand()
-    results = [run_scenario(spec, force_fleet=True) for spec in specs]
-    rows = CampaignResult(results).rows()
-    for row in rows:
-        row.pop("wall_seconds")
-    check_against_snapshot(rows, GOLDEN_PATH)
 
 
 def test_fleet_scales_the_surge_workload():
@@ -318,7 +287,7 @@ def test_fleet_prefetch_is_bitwise_neutral():
     for policy in ("first-fit", "least-loaded"):
         warm = surge_metrics(fleet_of(2, policy=policy))
         cold_fleet = fleet_of(2, policy=policy)
-        cold_fleet.prefetch_admission = None  # kernel skips the hook
+        cold_fleet.prefetch_admission = lambda shapes: None  # no warming
         cold = surge_metrics(cold_fleet)
         assert cold == warm
 

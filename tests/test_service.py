@@ -9,7 +9,8 @@ Four claims are pinned here:
 * the **engine** runs a correct task life-cycle incrementally:
   submissions admit or queue, patience rejects, and cancellation works
   in *both* the queued and the running state (a running cancel frees
-  space that wakes waiting work, exactly like a finish);
+  space that wakes waiting work, exactly like a finish); a malformed
+  submission raises ``ValueError`` and leaves no trace (fuzzed);
 * **checkpoint/restore is lossless**: a service frozen mid-flight and
   thawed produces the same journal and telemetry streams, bit for bit,
   as the original had it never been interrupted — including with a
@@ -23,6 +24,7 @@ Four claims are pinned here:
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign.replay import replay_trace, replay_workload, service_trace
 from repro.service import (
@@ -35,6 +37,7 @@ from repro.service import (
     restore,
     snapshot,
 )
+from repro.sched.tasks import TaskState
 from repro.service.admission import DEPTH_RETRY_AFTER, AdmissionController
 from repro.service.checkpoint import load, save
 
@@ -235,6 +238,76 @@ def test_advance_validates_direction_and_arguments():
         svc.advance()
     with pytest.raises(ValueError):
         svc.advance(until=2.0, seconds=1.0)
+
+
+# -- malformed submissions --------------------------------------------------
+
+
+def test_unknown_qos_is_refused_before_the_clock_moves():
+    svc = small_service()
+    with pytest.raises(ValueError, match="unknown QoS class"):
+        svc.submit(2, 2, 1.0, qos="platinum", at=5.0)
+    assert svc.now == 0.0
+    assert svc.stats()["tenants"] == {}
+
+
+#: a well-formed submission's numeric fields (the clock stands at 1.0
+#: when it is submitted) ...
+VALID_FIELDS = st.fixed_dictionaries({
+    "height": st.integers(1, 4),
+    "width": st.integers(1, 4),
+    "exec_seconds": st.floats(0.0, 3.0),
+    "max_wait": st.one_of(st.none(), st.floats(0.0, 3.0)),
+    "at": st.one_of(st.none(), st.floats(1.0, 3.0)),
+})
+#: ... what replaces some of them ...
+JUNK = st.sampled_from([None, "x", "3", True, False, 0, -1, -2.5,
+                        math.nan, math.inf, -math.inf])
+#: ... and the junk values a field still accepts, compared by identity
+#: so that ``False`` is not ``0`` (a negative ``at`` is in the past).
+ACCEPTED_JUNK = {"exec_seconds": (0,), "max_wait": (None, 0),
+                 "at": (None,)}
+TERMINAL = {TaskState.FINISHED, TaskState.REJECTED, TaskState.DROPPED,
+            TaskState.CANCELLED}
+SHAPE_2X2 = {"height": 2, "width": 2, "exec_seconds": 1.0,
+             "max_wait": None, "at": None}
+
+
+@settings(max_examples=100)
+@example(fields=SHAPE_2X2, junk={"at": math.nan})
+@example(fields=SHAPE_2X2, junk={"at": 0.5})
+@example(fields=SHAPE_2X2, junk={"width": True})
+@given(fields=VALID_FIELDS,
+       junk=st.dictionaries(st.sampled_from(["height", "width",
+                                             "exec_seconds", "max_wait",
+                                             "at"]), JUNK, max_size=3))
+def test_malformed_submission_raises_and_leaves_no_trace(fields, junk):
+    """A malformed submission raises ``ValueError`` before the registry,
+    the journal and the door see it; a well-formed one returns an
+    admitted or throttled view.  Either way the service keeps admitting
+    valid work and every registered task reaches a terminal state."""
+    malformed = any(
+        not any(value is ok for ok in ACCEPTED_JUNK.get(name, ()))
+        for name, value in junk.items()
+    )
+    svc = small_service()
+    svc.submit(2, 2, 1.0, tenant="t", at=1.0)
+    engine = svc.engine
+    tasks, journal = dict(engine.tasks), list(engine.journal)
+    door = svc.door.export_state()
+    if malformed:
+        with pytest.raises(ValueError):
+            svc.submit(tenant="t", **{**fields, **junk})
+        assert engine.tasks == tasks
+        assert engine.journal == journal
+        assert svc.door.export_state() == door
+    else:
+        view = svc.submit(tenant="t", **{**fields, **junk})
+        assert view["admitted"] or view["reason"] in ("rate-limit",
+                                                      "queue-full")
+    assert svc.submit(2, 2, 0.5, tenant="u")["admitted"]
+    svc.settle()
+    assert all(task.state in TERMINAL for task in engine.tasks.values())
 
 
 # -- checkpoint/restore -----------------------------------------------------

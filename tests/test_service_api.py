@@ -7,8 +7,11 @@ repo deliberately carries no pytest-asyncio dependency).  Pinned:
 * the REST surface routes and validates: submit/status/list/cancel,
   clock control, stats, 404/405/409/400 on the documented conditions;
 * malformed requests (a bad request line, a non-integer
-  ``Content-Length``, a JSON body that is not an object) are answered
-  with a 400 and leave the server serving;
+  ``Content-Length``, a JSON body that is not an object, a numeric
+  field of the wrong type or out of range) are answered with a 400 and
+  leave the server serving; a malformed submission leaves the task
+  registry, the journal and the door counters as they were; an
+  unexpected handler error is a 500, never a dropped connection;
 * throttled submissions surface as **429 with a Retry-After header**
   whose value matches the door's simulated-time hint;
 * **concurrent** clients interleave safely: parallel submits, cancels
@@ -178,6 +181,75 @@ def test_json_array_clock_advance_body_is_a_400():
         b"POST /clock/advance HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]",
         "not a JSON object",
     )
+
+
+def post(path: str, body: dict) -> bytes:
+    """Raw bytes of one POST request with a JSON body."""
+    data = json.dumps(body).encode()
+    return (f"POST {path} HTTP/1.1\r\nContent-Length: {len(data)}"
+            "\r\n\r\n").encode() + data
+
+
+def test_wrong_typed_clock_advance_field_is_a_400():
+    answers_400_then_serves_on(
+        post("/clock/advance", {"seconds": "x"}),
+        "field 'seconds' must be a finite number",
+    )
+
+
+def test_null_fault_member_is_a_400():
+    answers_400_then_serves_on(
+        post("/faults", {"kind": "member-death", "member": None}),
+        "field 'member' must be an integer",
+    )
+
+
+@pytest.mark.parametrize("bad", [
+    {"height": 0},
+    {"exec_seconds": -5},
+    {"max_wait": -1},
+    {"max_wait": "x"},
+    {"height": None},
+], ids=["zero-height", "negative-exec", "negative-max-wait",
+        "string-max-wait", "null-height"])
+def test_malformed_submission_is_a_400_that_touches_nothing(bad):
+    """The submission is refused before the door counts it or the
+    registry sees it, and the next valid submission is admitted."""
+    async def scenario(api, client):
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context))
+        status, _, _ = await client.request("POST", "/tasks", SUBMIT)
+        assert status == 202
+        _, before, _ = await client.request("GET", "/stats")
+        journal = list(api.service.engine.journal)
+        status, payload, _ = await client.request(
+            "POST", "/tasks", {**SUBMIT, **bad})
+        assert status == 400 and payload["error"]
+        _, after, _ = await client.request("GET", "/stats")
+        assert after["tasks"] == before["tasks"] == 1
+        assert after["tenants"] == before["tenants"]
+        assert api.service.engine.journal == journal
+        status, view, _ = await client.request("POST", "/tasks", SUBMIT)
+        assert status == 202 and view["admitted"]
+        status, _, _ = await client.request("GET", "/healthz")
+        assert status == 200
+        assert not unhandled
+    with_api(scenario)
+
+
+def test_unexpected_handler_error_is_a_500_and_serving_continues():
+    async def scenario(api, client):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        api._dispatch = broken
+        status, payload, _ = await client.request("GET", "/stats")
+        assert status == 500 and "boom" in payload["error"]
+        del api._dispatch
+        status, payload, _ = await client.request("GET", "/healthz")
+        assert status == 200 and payload["status"] == "ok"
+    with_api(scenario)
 
 
 def test_task_listing_filters_and_limits():
