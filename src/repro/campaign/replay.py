@@ -11,9 +11,9 @@ tenants and QoS classes) and feeds such traces through a live
 clock to each arrival instant.
 
 That makes every seeded batch scenario double as service traffic: the
-flash-crowd smoke tests and ``benchmarks/perf/bench_service.py`` both
-replay the campaign's ``fleet-surge`` workload through the door
-instead of inventing a second traffic model.
+flash-crowd tests replay the campaign's ``fleet-surge`` workload
+through the door, and the benchmark's service workload a ``diurnal``
+one, instead of inventing a second traffic model.
 
 Task priorities map onto QoS classes via
 :func:`repro.service.qos.qos_for_priority` (0 best-effort, 1 silver,

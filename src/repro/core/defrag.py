@@ -361,11 +361,12 @@ class DefragPlanner:
 
         Everything here is a pure function of the occupancy grid: the
         footprint coordinate columns, the grid packed into one integer
-        with each blocker's packed footprint (for :meth:`_evict_moves`),
-        and, on grids up to 64 columns, the uint64 row masks, the unique
-        blocker shapes and the screen's blocker-set cache (for
-        :meth:`_screen_windows`).  Within one planner token the bundle
-        is built once and every probed shape reuses it.
+        with each blocker's packed footprint (for :meth:`_evict_moves`
+        and the scalar screen), the unique blocker shapes and the
+        screen's blocker-set cache (for :meth:`_screen_windows`), and,
+        on grids up to 64 columns, the uint64 row masks of the slab
+        screen.  Within one planner token the bundle is built once and
+        every probed shape reuses it.
         """
         if shared is not None and "evict" in shared:
             return shared["evict"]
@@ -402,6 +403,18 @@ class DefragPlanner:
                 for r, c, h, w in zip(prl, pcl, phl, pwl)
             ],
         }
+        # Unique blocker shapes, ascending, and each footprint's.
+        shapes = sorted(set(zip(phl, pwl)))
+        index = {shape: i for i, shape in enumerate(shapes)}
+        state["shapes"] = shapes
+        state["inv"] = [index[shape] for shape in zip(phl, pwl)]
+        state["uh"] = np.array([h for h, _ in shapes], dtype=np.int64)
+        state["uw"] = np.array([w for _, w in shapes], dtype=np.int64)
+        # The screen's cache: blocker set (its packed member row) -> id,
+        # and per (id, shape) pair a stored-flag and extents row.
+        state["set_ids"] = {}
+        state["known"] = np.zeros(0, dtype=bool)
+        state["extents"] = np.empty((0, 4), dtype=np.int64)
         if cols <= 64:
             packed = np.packbits(occupancy == 0, axis=1,
                                  bitorder="little")
@@ -421,18 +434,6 @@ class DefragPlanner:
                 .astype(np.float64)
             state["blocker_hi"] = (blocker_rows >> np.uint64(32)) \
                 .astype(np.float64)
-            # Unique blocker shapes, ascending, and each footprint's.
-            shapes = sorted(set(zip(phl, pwl)))
-            index = {shape: i for i, shape in enumerate(shapes)}
-            state["shapes"] = shapes
-            state["inv"] = [index[shape] for shape in zip(phl, pwl)]
-            state["uh"] = np.array([h for h, _ in shapes], dtype=np.int64)
-            state["uw"] = np.array([w for _, w in shapes], dtype=np.int64)
-            # The screen's cache: blocker set (its packed member row) ->
-            # id, and per (id, shape) pair a stored-flag and extents row.
-            state["set_ids"] = {}
-            state["known"] = np.zeros(0, dtype=bool)
-            state["extents"] = np.empty((0, 4), dtype=np.int64)
         if shared is not None:
             shared["evict"] = state
         return state
@@ -534,15 +535,11 @@ class DefragPlanner:
             (win[0], win[2], win[3], height, width)
             for (height, width), win in wins.items()
         ])
-        for g, ((height, width), win) in enumerate(wins.items()):
-            member, n_w, wr, wc = win
-            if keeps is not None:
-                keep = keeps[g]
-                if not keep.any():
-                    results[height, width] = None
-                    continue
-                member, n_w, wr, wc = (member[keep], n_w[keep],
-                                       wr[keep], wc[keep])
+        for keep, ((height, width), win) in zip(keeps, wins.items()):
+            if not keep.any():
+                results[height, width] = None
+                continue
+            member, n_w, wr, wc = (array[keep] for array in win)
             results[height, width] = self._eviction_select(
                 occupancy, state, member, n_w, wr, wc, height, width,
             )
@@ -643,9 +640,7 @@ class DefragPlanner:
 
         ``groups`` is a list of ``(member, wr, wc, height, width)``
         window batches, one per probed shape, screened together.
-        Returns one boolean keep-mask per group, or ``None`` when the
-        device is wider than 64 columns (the caller then evaluates every
-        window sequentially).
+        Returns one boolean keep-mask per group.
 
         A window's eviction attempt places its blockers, one at a time,
         into the grid with the blockers lifted and the target reserved.
@@ -667,8 +662,6 @@ class DefragPlanner:
         stored by an earlier call, ``screen_cache_misses`` the pairs
         computed.
         """
-        if occupancy.shape[1] > 64:
-            return None
         member = (groups[0][0] if len(groups) == 1
                   else np.concatenate([g[0] for g in groups], axis=0))
         windows = member.shape[0]
@@ -687,7 +680,9 @@ class DefragPlanner:
             extents = np.empty((size, 4), dtype=np.int64)
             extents[:old] = state["extents"]
             state["known"], state["extents"] = known, extents
-        if windows < SCREEN_SLAB_MIN:
+        # The slab packs a row into one uint64; wider grids stay on the
+        # packed Python integer, which has no width limit.
+        if windows < SCREEN_SLAB_MIN or occupancy.shape[1] > 64:
             keep = self._screen_scalar(state, member, sid, groups)
         else:
             keep = self._screen_slab(state, member, sid, groups)

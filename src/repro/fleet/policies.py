@@ -28,7 +28,8 @@ floor-plan-prediction framework treats region selection the same way):
 
 Every policy is O(devices) arithmetic per decision on top of the
 free-space engine's O(#MERs) fit probes — never O(residents) — which is
-what keeps fleet admission cheap (``BENCH_fleet.json`` tracks it).
+what keeps fleet admission cheap (``tests/test_work_budget.py`` pins
+the probes of a 4-member fleet).
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ silently does the full work again and only the wall clock knows.
 This module makes hit rates observable.  It keeps one process-global
 :class:`PerfCounters` instance (:data:`PERF`) that the hot paths bump
 with plain attribute increments — no locks, no dict lookups, no
-formatting — and that the performance harnesses sample per benchmark
-cell (``benchmarks/perf/bench_sched.py`` commits the numbers to
-``BENCH_sched.json``) and the always-on service exports under
-``/stats``.  The next optimisation round then starts from committed
-counter evidence instead of ad-hoc profiling runs.
+formatting.  The counts are exact for a given seed, so the test suite
+pins the whole snapshot for a set of seeded cells
+(``tests/test_work_budget.py``): a lost cache fails there, not only on
+the wall clock.  The benchmark (``perfbench/``) reports them per layer,
+and the always-on service exports them under ``/stats``.
 
 Counter semantics (all monotonically increasing since the last
 :meth:`~PerfCounters.reset`):
@@ -32,8 +32,7 @@ Counter semantics (all monotonically increasing since the last
 ``item_memo_skips``
     always 0.  The per-item failure memo it counted is gone (every
     skip it made was also a shape or dominance skip); the key stays
-    because benchmark harnesses and committed benchmark files read
-    the column.
+    because the benchmark (``perfbench/``) reads the column.
 ``fleet_member_skips``
     per-member probes the fleet manager skipped because the shape
     already failed on that member at its current free-space generation.
@@ -51,14 +50,14 @@ Counter semantics (all monotonically increasing since the last
     ``repro.placement.bitgrid.SMALL_SET`` sites and on larger ones.
     One packed-integer core answers both; the size split keeps the
     counts comparable with earlier releases, which ran a scalar and a
-    numpy path.
+    numpy path, and the benchmark reads both columns.
 """
 
 from __future__ import annotations
 
 #: Counter attribute names, in reporting order.  Kept explicit (rather
-#: than introspected) so the snapshot layout is stable for the
-#: committed benchmark JSON.
+#: than introspected) so the snapshot layout the work budgets and the
+#: benchmark read stays stable.
 COUNTER_NAMES = (
     "admission_probes",
     "item_memo_skips",
@@ -91,13 +90,13 @@ class PerfCounters:
     def snapshot(self) -> dict:
         """Current counter values as a dict.
 
-        Every counter is reported — including zeros — so committed
-        benchmark payloads keep a stable column set across runs.
+        Every counter is reported — including zeros — so the pinned
+        budgets and the benchmark see a stable column set across runs.
         """
         return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def collect(self) -> dict:
-        """Snapshot, then reset — one benchmark cell's worth of counts."""
+        """Snapshot, then reset — one cell's worth of counts."""
         out = self.snapshot()
         self.reset()
         return out

@@ -173,7 +173,7 @@ class CachedFitter:
         self._generation: int | None = None
         self._answers: dict[tuple[int, int], Rect | None] = {}
         #: cache telemetry (hits/misses), for the property tests and
-        #: the perf harness.
+        #: the work budgets (``tests/test_work_budget.py``).
         self.hits = 0
         self.misses = 0
 

@@ -99,6 +99,18 @@ def _number(body: dict, name: str, kind: type = float, default=None):
     return kind(value)
 
 
+def _count(query: dict, name: str) -> int | None:
+    """Query parameter ``name`` as a count: ``None`` when absent, and a
+    400 unless it is a decimal integer >= 0."""
+    raw = query.get(name)
+    if raw is None:
+        return None
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HttpError(400, f"query parameter {name!r} must be an "
+                              f"integer >= 0, got {raw!r}")
+    return int(raw)
+
+
 class ServiceAPI:
     """Serve one :class:`ReproService` over HTTP.
 
@@ -246,10 +258,9 @@ class ServiceAPI:
         if path == "/tasks" and method == "POST":
             return self._submit(body)
         if path == "/tasks" and method == "GET":
-            limit = int(query["limit"]) if "limit" in query else None
             return 200, {
                 "tasks": service.tasks(state=query.get("state"),
-                                       limit=limit)
+                                       limit=_count(query, "limit"))
             }, {}
         if path.startswith("/tasks/"):
             return self._task_detail(method, path)
@@ -346,11 +357,11 @@ class ServiceAPI:
         Subscribes to the engine's telemetry listeners; every sample the
         service records (admissions, finishes, cancellations) is pushed
         to the client as one JSON line.  ``limit`` bounds the total
-        lines (the tests' termination condition); ``history=0`` skips
-        the backlog.  The subscription is dropped when the client
-        disconnects or the limit is reached.
+        lines (the tests' termination condition; 0 or absent means no
+        bound); ``history=0`` skips the backlog.  The subscription is
+        dropped when the client disconnects or the limit is reached.
         """
-        limit = int(query.get("limit", 0)) or None
+        limit = _count(query, "limit") or None
         engine = self.service.engine
         backlog = (list(engine.telemetry)
                    if query.get("history", "1") != "0" else [])

@@ -242,6 +242,10 @@ class ServiceEngine(OnlineTaskScheduler):
         task = self.tasks.get(task_id)
         if task is None:
             raise KeyError(f"unknown task {task_id}")
+        # Cancelling ends the task's patience: its pending timeout finds
+        # the task terminal and returns before it could drop these.
+        self._queue_epochs.pop(task_id, None)
+        self._queue_deadlines.pop(task_id, None)
         if task.state is TaskState.QUEUED:
             task.state = TaskState.CANCELLED
             self._journal("cancelled", task)
@@ -556,8 +560,8 @@ class ReproService:
                 for tenant, stats in sorted(self.door.stats.items())
             },
             # Hot-path cache/memo counters (process-wide, monotonic
-            # since start or the harness's last reset) — the live
-            # counterpart of the per-cell samples BENCH_sched.json
-            # commits; see ``repro.perf``.
+            # since start or the last ``PERF.reset()``) — the live
+            # counterpart of the per-cell budgets the test suite pins;
+            # see ``repro.perf``.
             "perf": PERF.snapshot(),
         }

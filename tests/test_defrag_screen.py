@@ -2,14 +2,15 @@
 
 :meth:`DefragPlanner._screen_windows` discards candidate eviction
 windows before the sequential relocation search runs.  It may only drop
-windows that search would reject, so a planner whose screen returns
-``None`` (every window goes to ``_evict_moves``) must return the same
+windows that search would reject, so a planner whose screen keeps
+every window (each one goes to ``_evict_moves``) must return the same
 plans.  The suite draws fragmented grids up to 64 columns wide (the
-widest the screen covers, past the 52 columns a float64 mask holds),
-resolves several shapes at one token and then more shapes at the same
-token, so later calls read (blocker set, shape) extents stored by
-earlier ones, and runs each screen path on every example: the
-per-window Python path and the numpy slab.
+widest the slab's uint64 rows hold, past the 52 columns a float64 mask
+holds) and from 65 to 128 columns, resolves several shapes at one token
+and then more shapes at the same token, so later calls read (blocker
+set, shape) extents stored by earlier ones, and runs each screen path
+on every example: the per-window Python path and the numpy slab.
+Grids wider than 64 columns always take the Python path.
 """
 
 from unittest import mock
@@ -30,7 +31,8 @@ def fragmented_grids(draw):
     """A grid packed with random residents, then hole-punched."""
     rows = draw(st.integers(min_value=4, max_value=10))
     cols = draw(st.one_of(st.integers(min_value=6, max_value=24),
-                          st.integers(min_value=50, max_value=64)))
+                          st.integers(min_value=50, max_value=64),
+                          st.integers(min_value=65, max_value=128)))
     occ = np.zeros((rows, cols), dtype=np.int32)
     owner = 0
     for _ in range(draw(st.integers(min_value=4, max_value=90))):
@@ -59,7 +61,9 @@ def shape_lists(most: int = 6):
 def unscreened() -> DefragPlanner:
     """A planner that sends every window to the relocation search."""
     planner = DefragPlanner()
-    planner._screen_windows = lambda occupancy, state, groups: None
+    planner._screen_windows = lambda occupancy, state, groups: [
+        np.ones(group[0].shape[0], dtype=bool) for group in groups
+    ]
     return planner
 
 
@@ -137,21 +141,22 @@ def test_screen_verdicts_match_brute_force(path, occ, shapes):
                     keep, brute_force_keep(occ, state, *group))
 
 
-def _lattice() -> np.ndarray:
+def _lattice(cols: int) -> np.ndarray:
     """2x2 residents on a 3-pitch lattice: free space is all one-wide
     lanes, so every request of 2x3 or more needs an eviction."""
-    occ = np.zeros((9, 58), dtype=np.int32)
+    occ = np.zeros((9, cols), dtype=np.int32)
     owner = 0
     for row in range(0, 9, 3):
-        for col in range(0, 57, 3):
+        for col in range(0, cols - 1, 3):
             owner += 1
             occ[row:row + 2, col:col + 2] = owner
     return occ
 
 
+@pytest.mark.parametrize("cols", [58, 72])
 @pytest.mark.parametrize("path", ["scalar", "slab"])
-def test_screen_reuses_pairs_within_a_token(path):
-    occ = _lattice()
+def test_screen_reuses_pairs_within_a_token(path, cols):
+    occ = _lattice(cols)
     planner = DefragPlanner()
     token = object()
     with forced(path):

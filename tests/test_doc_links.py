@@ -15,7 +15,8 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GATED_DOCS = ("docs/architecture.md", "docs/paper_mapping.md",
-              "docs/service.md")
+              "docs/service.md", "README.md", "examples/README.md",
+              "benchmarks/README.md")
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,11 @@ unchanged — so a kernel that probes every candidate must produce
 metrics and port timelines, event for event.  This suite runs the two
 kernels in lockstep over hypothesis-chosen workloads (timeout-heavy
 churn; the slow variant crosses every queue discipline with every port
-model, on one device and on a 2-member fleet), pins the invalidation
+model, on one device and on a 2-member fleet) and pins the invalidation
 contract (every path that changes occupancy empties the record, and
-every verdict it returns is backed by a real failing probe), and pins
-the admission work budget, so a record that silently stopped hitting
-fails here instead of only on the wall clock.
+every verdict it returns is backed by a real failing probe).  A record
+that silently stopped hitting fails ``tests/test_work_budget.py``,
+which pins the admission work exactly.
 """
 
 import pytest
@@ -202,31 +202,3 @@ def test_every_memo_skip_is_backed_by_a_real_failure():
     kernel._shape_blocked = checked
     scheduler.run(_churn_tasks(200, seed=3))
     assert verified[0] > 0, "the memo never fired: churn too gentle"
-
-
-@pytest.mark.parametrize(
-    "queue, ports, members, probes, member_skips, skips",
-    [
-        ("fifo", "serial", 1, 275, 0, 215),
-        ("backfill", "icap", 1, 2112, 0, 7058),
-        ("priority", "serial", 2, 319, 126, 198),
-    ],
-)
-def test_admission_work_budget(queue, ports, members, probes,
-                               member_skips, skips):
-    """Exact work counters of three seeded cells.  ``probes`` and
-    ``member_skips`` are the figures of the four-memo kernel this
-    record replaced: the record may not probe more, and the fleet's
-    per-member memo still sees member changes the record cannot.
-    ``skips`` (exact-shape plus dominance) counts every candidate the
-    record settled without a probe."""
-    __, manager = _stack(members)
-    scheduler = OnlineTaskScheduler(manager, queue=queue, ports=ports)
-    tasks = _churn_tasks(200, seed=7)
-    PERF.reset()
-    scheduler.run(tasks)
-    counts = PERF.collect()
-    assert counts["admission_probes"] == probes
-    assert counts["fleet_member_skips"] == member_skips
-    assert counts["item_memo_skips"] == 0
-    assert counts["shape_memo_skips"] + counts["dominance_skips"] == skips

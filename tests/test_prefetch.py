@@ -28,7 +28,7 @@ from repro.sched.prefetch import (
 )
 from repro.sched.scheduler import ApplicationFlowScheduler, OnlineTaskScheduler
 from repro.sched.tasks import ApplicationSpec, FunctionSpec, Task
-from repro.sched.workload import codec_swap_applications
+from repro.sched.workload import bursty_tasks, codec_swap_applications
 
 
 def make_manager(name="XC2S15"):
@@ -173,17 +173,35 @@ class TestKernelCachePath:
         )
 
     def test_cache_mode_never_exceeds_never_mode_stall(self):
-        apps_args = dict(n_apps=3, seed=7, repeats=3)
-        by_mode = {}
-        for mode in ("never", "cache"):
+        """The benefit, in simulated seconds on XC2S30.  Codec-swap
+        chains repeat functions, so the resident cache alone cuts the
+        exposed configuration stall (3 and 4 apps) and the mean
+        turnaround (4 apps: 8.31 -> 8.11 s).  A bursty task stream's
+        bitstreams never repeat, so only the planner helps there: it
+        cuts the stall (0.275 -> 0.216 s) and the mean waiting."""
+        def codec_swap(mode, n_apps, seed):
             sched = ApplicationFlowScheduler(make_manager("XC2S30"),
                                              prefetch_mode=mode)
-            sched.run(codec_swap_applications(device("XC2S30"),
-                                              **apps_args))
-            by_mode[mode] = sched.metrics
-        assert by_mode["cache"].prefetch_hits > 0
-        assert (by_mode["cache"].config_stall_seconds
-                < by_mode["never"].config_stall_seconds)
+            sched.run(codec_swap_applications(
+                device("XC2S30"), n_apps=n_apps, seed=seed, repeats=3))
+            return sched.metrics
+
+        def bursty(mode):
+            sched = OnlineTaskScheduler(make_manager("XC2S30"),
+                                        prefetch_mode=mode)
+            sched.run(bursty_tasks(60, seed=11))
+            return sched.metrics
+
+        for never, helped, delay in (
+            (codec_swap("never", 3, 7), codec_swap("cache", 3, 7), None),
+            (codec_swap("never", 4, 11), codec_swap("cache", 4, 11),
+             "mean_turnaround"),
+            (bursty("never"), bursty("plan"), "mean_waiting"),
+        ):
+            assert helped.prefetch_hits > 0
+            assert helped.config_stall_seconds < never.config_stall_seconds
+            if delay is not None:
+                assert getattr(helped, delay) < getattr(never, delay)
 
 
 class TestPlanner:

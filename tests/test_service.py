@@ -196,6 +196,23 @@ def test_cancel_running_task_frees_space_and_wakes_queue():
     assert svc.status(waiting["task"])["state"] == "finished"
 
 
+def test_cancel_leaves_no_patience_entries_behind():
+    """Cancelled tasks drop their patience epoch and deadline, so a
+    settled service's checkpoint lists no queue deadlines."""
+    svc = small_service()
+    hog = svc.submit(8, 12, 4.0, qos="gold")
+    queued = [svc.submit(2, 2, 1.0, qos="best-effort")["task"]
+              for _ in range(3)]
+    for task_id in queued:
+        svc.cancel(task_id)
+    svc.cancel(hog["task"])
+    svc.settle()
+    engine = svc.engine
+    assert engine._queue_epochs == {}
+    assert engine._queue_deadlines == {}
+    assert snapshot(svc)["queue_deadlines"] == {}
+
+
 def test_cancel_rejects_terminal_and_unknown_tasks():
     svc = small_service()
     done = svc.submit(2, 2, 0.5, qos="gold")

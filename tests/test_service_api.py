@@ -8,7 +8,8 @@ repo deliberately carries no pytest-asyncio dependency).  Pinned:
   clock control, stats, 404/405/409/400 on the documented conditions;
 * malformed requests (a bad request line, a non-integer
   ``Content-Length``, a JSON body that is not an object, a numeric
-  field of the wrong type or out of range) are answered with a 400 and
+  field of the wrong type or out of range, a ``limit`` query parameter
+  that is not an integer >= 0) are answered with a 400 and
   leave the server serving; a malformed submission leaves the task
   registry, the journal and the door counters as they were; an
   unexpected handler error is a 500, never a dropped connection;
@@ -183,6 +184,15 @@ def test_json_array_clock_advance_body_is_a_400():
     )
 
 
+@pytest.mark.parametrize("route", ["/tasks", "/telemetry/stream"])
+@pytest.mark.parametrize("limit", ["-1", "x", "1.5", "+1", "%C2%B2"])
+def test_bad_limit_is_a_400(route, limit):
+    answers_400_then_serves_on(
+        f"GET {route}?limit={limit} HTTP/1.1\r\n\r\n".encode(),
+        "query parameter 'limit' must be an integer >= 0",
+    )
+
+
 def post(path: str, body: dict) -> bytes:
     """Raw bytes of one POST request with a JSON body."""
     data = json.dumps(body).encode()
@@ -261,10 +271,13 @@ def test_task_listing_filters_and_limits():
         status, payload, _ = await client.request(
             "GET", "/tasks?state=finished")
         assert status == 200 and len(payload["tasks"]) == 4
-        status, payload, _ = await client.request("GET", "/tasks?limit=2")
-        assert len(payload["tasks"]) == 2
-        # Newest first.
-        assert payload["tasks"][0]["task"] > payload["tasks"][1]["task"]
+        # Newest first; 0 lists nothing, a limit past the end all.
+        for limit, expected in (("2", [5, 4]), ("0", []),
+                                ("9", [5, 4, 3, 2, 1])):
+            status, payload, _ = await client.request(
+                "GET", f"/tasks?limit={limit}")
+            assert status == 200
+            assert [view["task"] for view in payload["tasks"]] == expected
     with_api(scenario)
 
 
@@ -365,6 +378,20 @@ def test_telemetry_stream_delivers_backlog_then_live_samples():
         # The listener is dropped once the limit is reached.
         await asyncio.sleep(0.05)
         assert not api.service.engine.telemetry_listeners
+    with_api(scenario)
+
+
+def test_telemetry_stream_limit_zero_means_no_bound():
+    async def scenario(api, client):
+        await client.request("POST", "/tasks", SUBMIT)  # one backlog sample
+        backlog = len(api.service.engine.telemetry)
+        stream = asyncio.ensure_future(
+            client.stream_lines("/telemetry/stream?limit=0", backlog + 2))
+        await asyncio.sleep(0.05)  # stream subscribes
+        for _ in range(2):
+            await client.request("POST", "/tasks", SUBMIT)  # live samples
+        lines = await asyncio.wait_for(stream, 5)
+        assert len(lines) == backlog + 2
     with_api(scenario)
 
 
