@@ -132,17 +132,16 @@ class DefragPlanner:
         computes from scratch.
         """
         shared = self._shared_state(token)
-        if shared is not None and (height, width) in shared["plans"]:
-            return shared["plans"][height, width]
-        result = self._plan_uncached(occupancy, height, width, shared)
-        if shared is not None:
-            shared["plans"][height, width] = result
-        return result
+        plans = shared["plans"]
+        if (height, width) not in plans:
+            self._resolve(occupancy, [(height, width)], shared)
+        return plans[height, width]
 
-    def _shared_state(self, token: object) -> dict | None:
-        """The per-token scratch dict (fresh when the token moved)."""
+    def _shared_state(self, token: object) -> dict:
+        """The per-token scratch dict (fresh when the token moved, and
+        fresh for every call without a token)."""
         if token is None:
-            return None
+            return {"plans": {}, "compaction": {}}
         if self._cache_token != token:
             self._cache_token = token
             self._shared = {"plans": {}, "compaction": {}}
@@ -164,7 +163,12 @@ class DefragPlanner:
         """
         if token is None:
             return
-        shared = self._shared_state(token)
+        self._resolve(occupancy, shapes, self._shared_state(token))
+
+    def _resolve(self, occupancy: np.ndarray,
+                 shapes: list[tuple[int, int]], shared: dict) -> None:
+        """Store the plan of every shape not yet in ``shared["plans"]``,
+        sharing the shape-independent work and one eviction screen."""
         memo = shared["plans"]
         todo: list[tuple[int, int]] = []
         for shape in shapes:
@@ -201,52 +205,25 @@ class DefragPlanner:
             )
 
     def _token_row_bits(self, occupancy: np.ndarray,
-                        shared: dict | None) -> list[int]:
+                        shared: dict) -> list[int]:
         """Packed free-row bitmasks, shared within a token."""
-        if shared is not None and "row_bits" in shared:
-            return shared["row_bits"]
-        row_bits = pack_free_rows(occupancy)
-        if shared is not None:
-            shared["row_bits"] = row_bits
-        return row_bits
+        if "row_bits" not in shared:
+            shared["row_bits"] = pack_free_rows(occupancy)
+        return shared["row_bits"]
 
     def _token_prints(self, occupancy: np.ndarray,
-                      shared: dict | None) -> dict[int, Rect]:
+                      shared: dict) -> dict[int, Rect]:
         """Resident footprints, shared within a token."""
-        if shared is not None and "prints" in shared:
-            return shared["prints"]
-        prints = footprints(occupancy)
-        if shared is not None:
-            shared["prints"] = prints
-        return prints
-
-    def _plan_uncached(self, occupancy: np.ndarray, height: int,
-                       width: int,
-                       shared: dict | None) -> RearrangementPlan | None:
-        """:meth:`plan` body, with the shape-independent pieces read
-        from (and published to) ``shared`` when a token is active."""
-        row_bits = self._token_row_bits(occupancy, shared)
-        spot = first_fit_bits(row_bits, height, width)
-        if spot is not None:
-            return RearrangementPlan(Rect(spot[0], spot[1], height, width))
-        # No rearrangement can help when the free *area* is too small:
-        # defragmentation only consolidates, it cannot create sites.
-        if sum(b.bit_count() for b in row_bits) < height * width:
-            return None
-        prints = self._token_prints(occupancy, shared)
-        eviction = self._eviction_batch(
-            occupancy, prints, [(height, width)], shared
-        )[height, width]
-        return self._assemble(
-            prints, row_bits, height, width, shared, eviction
-        )
+        if "prints" not in shared:
+            shared["prints"] = footprints(occupancy)
+        return shared["prints"]
 
     def _assemble(self, prints: dict[int, Rect], row_bits: list[int],
-                  height: int, width: int, shared: dict | None,
+                  height: int, width: int, shared: dict,
                   eviction: RearrangementPlan | None,
                   ) -> RearrangementPlan | None:
         """Rank the compaction candidates against a ready eviction plan
-        (the tail of :meth:`plan`, shared by the batch path)."""
+        (the tail of :meth:`_resolve`)."""
         candidates: list[RearrangementPlan] = []
         candidates.extend(
             self._compaction_plans(prints, row_bits, height, width, shared)
@@ -323,21 +300,18 @@ class DefragPlanner:
 
     def _compaction_plans(self, prints: dict[int, Rect],
                           row_bits: list[int], height: int, width: int,
-                          shared: dict | None = None,
-                          ) -> list[RearrangementPlan]:
+                          shared: dict) -> list[RearrangementPlan]:
         plans: list[RearrangementPlan] = []
+        compaction = shared["compaction"]
         for toward in ("left", "top"):
             # The sweep is shape-independent: within one token both
             # directions are computed once and every probed shape reads
             # the (moves, compacted bitmask) pair from the shared state.
-            if shared is not None and toward in shared["compaction"]:
-                moves, compacted_bits = shared["compaction"][toward]
-            else:
-                moves, compacted_bits = compaction_moves(
+            if toward not in compaction:
+                compaction[toward] = compaction_moves(
                     prints, row_bits, toward
                 )
-                if shared is not None:
-                    shared["compaction"][toward] = (moves, compacted_bits)
+            moves, compacted_bits = compaction[toward]
             # A plan longer than ``max_moves`` is discarded by
             # ``_assemble`` regardless of where the shape would land, so
             # the first-fit probe is skipped outright — on saturated
@@ -356,7 +330,7 @@ class DefragPlanner:
         return plans
 
     def _evict_state(self, occupancy: np.ndarray, prints: dict[int, Rect],
-                     shared: dict | None) -> dict:
+                     shared: dict) -> dict:
         """Shape-independent inputs of the eviction search.
 
         Everything here is a pure function of the occupancy grid: the
@@ -368,7 +342,7 @@ class DefragPlanner:
         screen.  Within one planner token the bundle is built once and
         every probed shape reuses it.
         """
-        if shared is not None and "evict" in shared:
+        if "evict" in shared:
             return shared["evict"]
         print_items = list(prints.items())
         prl = [rect.row for _, rect in print_items]
@@ -434,8 +408,7 @@ class DefragPlanner:
                 .astype(np.float64)
             state["blocker_hi"] = (blocker_rows >> np.uint64(32)) \
                 .astype(np.float64)
-        if shared is not None:
-            shared["evict"] = state
+        shared["evict"] = state
         return state
 
     def _eviction_windows(
@@ -500,7 +473,7 @@ class DefragPlanner:
 
     def _eviction_batch(
         self, occupancy: np.ndarray, prints: dict[int, Rect],
-        shapes: list[tuple[int, int]], shared: dict | None,
+        shapes: list[tuple[int, int]], shared: dict,
     ) -> dict[tuple[int, int], RearrangementPlan | None]:
         """The eviction plan of each shape, over one screen pass.
 

@@ -105,11 +105,6 @@ class PlacementOutcome:
         return sum(m.seconds for m in self.moves)
 
     @property
-    def total_port_seconds(self) -> float:
-        """All port time this request consumed (moves + its own config)."""
-        return self.rearrange_seconds + self.config_seconds
-
-    @property
     def halted_seconds(self) -> float:
         """Total stopped time inflicted on running functions."""
         return sum(m.halt_seconds for m in self.moves)
@@ -306,8 +301,8 @@ class LogicSpaceManager:
         """Warm the fit and plan caches for one admission pass.
 
         ``shapes`` are the queue-eligible (height, width) requests in
-        discipline order.  All fit probes are answered against one read
-        of the MER set; rearrangement plans are then batch-resolved for
+        discipline order.  The fit cache is warmed for every shape;
+        rearrangement plans are then batch-resolved for
         the leading run of shapes whose fit fails (capped at
         :attr:`PLAN_PREFETCH_DEPTH`) — the first shape that *fits* will
         be admitted, which mutates the fabric and bumps the generation,

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from repro.core.manager import LogicSpaceManager, PlacementOutcome
 from repro.device.fabric import Fabric
-from repro.perf import PERF
 
 from .policies import DeviceSelectionPolicy, make_device_policy
 
@@ -57,18 +56,6 @@ class FleetManager:
         #: and the O(1) load counters in one map.
         self._owners: dict[int, tuple[int, int]] = {}
         self._areas = [0] * len(self.members)
-        #: (member index, height, width) -> (free-space generation at
-        #: the failed probe, its dominance certificate).  A member's
-        #: ``request`` is a pure function of its occupancy, and a
-        #: *failed* request never mutates it — so while the member's
-        #: generation still equals the memoed one, re-probing the same
-        #: shape is guaranteed to reproduce the same rejection and is
-        #: skipped (``fleet_member_skips`` counts these).  Entries are
-        #: simply superseded when a newer generation fails again; stale
-        #: generations never match, so no eviction is needed.
-        self._member_shape_failed: dict[
-            tuple[int, int, int], tuple[int, bool]
-        ] = {}
         #: members declared dead by fault injection (see
         #: :mod:`repro.faults`): :meth:`request` and
         #: :meth:`prefetch_admission` never touch them, the kernel
@@ -144,34 +131,23 @@ class FleetManager:
                 owner: int) -> PlacementOutcome:
         """Place a ``height`` x ``width`` function on the fleet.
 
-        Members are attempted in the selection policy's preference
-        order; the first accepting member tags the outcome with its
-        device index (the scheduling kernel charges that device's
-        port).  A member whose free-space generation is unchanged since
-        this shape last failed on it is skipped outright — the memoed
-        rejection is replayed instead of re-running its planner.  When
-        every member declines, a failed outcome is returned whose
-        ``dominant`` certificate holds only if every member was covered
-        and every rejection was itself dominant; a 1-member fleet
-        returns exactly what its single manager would.
+        Every live member is attempted in the selection policy's
+        preference order; the first accepting member tags the outcome
+        with its device index (the scheduling kernel charges that
+        device's port).  A member whose free-space generation has not
+        moved since it last rejected the shape answers again from its
+        fit cache and its planner's plan memo.  When every member
+        declines, the last rejection is returned, its ``dominant``
+        certificate holding only if every rejection was itself
+        dominant; a 1-member fleet returns exactly what its single
+        manager would.
         """
         outcome: PlacementOutcome | None = None
         dominant = True
-        covered: set[int] = set()
         for index in self.policy.order(self, height, width):
             if index in self.lost:
                 continue
-            member = self.members[index]
-            generation = member.free_space.generation
-            memo = self._member_shape_failed.get((index, height, width))
-            if memo is not None and generation == memo[0]:
-                PERF.fleet_member_skips += 1
-                dominant = dominant and memo[1]
-                covered.add(index)
-                if outcome is None:
-                    outcome = PlacementOutcome(False, owner)
-                continue
-            outcome = member.request(height, width, owner)
+            outcome = self.members[index].request(height, width, owner)
             if outcome.success:
                 outcome.device = index
                 assert outcome.rect is not None
@@ -180,18 +156,12 @@ class FleetManager:
                 self.policy.note_placed(index)
                 return outcome
             dominant = dominant and outcome.dominant
-            covered.add(index)
-            self._member_shape_failed[index, height, width] = (
-                generation, outcome.dominant
-            )
         if outcome is None:
-            # Every member is lost (or the fleet is empty of survivors):
-            # nothing was probed, so the failure is trivially dominant —
-            # no smaller footprint could succeed either.
-            outcome = PlacementOutcome(False, owner, dominant=True)
-            return outcome
-        alive = len(self.members) - len(self.lost)
-        outcome.dominant = dominant and len(covered) == alive
+            # Every member is lost: nothing was probed, so the failure
+            # is trivially dominant — no smaller footprint could
+            # succeed either.
+            return PlacementOutcome(False, owner, dominant=True)
+        outcome.dominant = dominant
         return outcome
 
     def prefetch_admission(self, shapes: list[tuple[int, int]]) -> None:

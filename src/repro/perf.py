@@ -1,13 +1,14 @@
 """Process-wide hot-path instrumentation counters.
 
 The admission hot path is a stack of caches — the kernel's admission
-failure record, the planner's per-token blocker-set screen cache, the
-fitter's per-generation answer cache, the fleet's per-member probe
-memo.  Each one is provably transparent (it may only skip work whose
-outcome is unchanged), which also makes each one invisible: a broken
-invalidation shows up as *wrong results* (pinned by the differential
-suites), but a broken *hit rate* shows up as nothing at all — the code
-silently does the full work again and only the wall clock knows.
+failure record, the planner's per-token plan memo and blocker-set
+screen cache, the fitter's per-generation answer cache — all keyed on
+the members' free-space generation.  Each one is provably transparent
+(it may only skip work whose outcome is unchanged), which also makes
+each one invisible: a broken invalidation shows up as *wrong results*
+(pinned by the differential suites), but a broken *hit rate* shows up
+as nothing at all — the code silently does the full work again and
+only the wall clock knows.
 
 This module makes hit rates observable.  It keeps one process-global
 :class:`PerfCounters` instance (:data:`PERF`) that the hot paths bump
@@ -34,8 +35,10 @@ Counter semantics (all monotonically increasing since the last
     skip it made was also a shape or dominance skip); the key stays
     because the benchmark (``perfbench/``) reads the column.
 ``fleet_member_skips``
-    per-member probes the fleet manager skipped because the shape
-    already failed on that member at its current free-space generation.
+    always 0.  The fleet's per-member failure memo it counted is gone:
+    a member whose generation has not moved answers a repeated shape
+    from its fit cache and plan memo.  The key stays because the
+    benchmark reads the column.
 ``screen_calls`` / ``screen_windows``
     eviction screens actually run, and the total candidate windows they
     examined.
@@ -94,12 +97,6 @@ class PerfCounters:
         budgets and the benchmark see a stable column set across runs.
         """
         return {name: getattr(self, name) for name in COUNTER_NAMES}
-
-    def collect(self) -> dict:
-        """Snapshot, then reset — one cell's worth of counts."""
-        out = self.snapshot()
-        self.reset()
-        return out
 
 
 #: The process-global counter bundle the hot paths increment.

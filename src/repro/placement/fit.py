@@ -208,54 +208,19 @@ class CachedFitter:
     def prefetch(self, occupancy: np.ndarray,
                  shapes: list[tuple[int, int]],
                  index: FreeSpaceIndex) -> None:
-        """Warm the cache for many shapes against one MER snapshot.
+        """Warm the cache for many shapes at the index's current
+        generation.
 
         The admission loop calls this once per pass with every
         queue-eligible shape, so the per-item probes that follow are
-        dictionary lookups.  The batch answers are computed against a
-        single read of the index's MER set; for the row-major
-        ``first_fit`` the winning corner is found with one vectorised
-        masked-argmin per shape, which is exactly ``min(fitting, key=
-        (row, col))`` — any key tie yields the same (row, col) and the
-        returned rectangle only uses those coordinates.  Other
-        heuristics fall back to one cached call each.
+        dictionary lookups.  Each shape not yet cached costs one call of
+        the wrapped heuristic and counts as one miss, exactly as a
+        single call would.
         """
         if not shapes or not self._sync(index):
             return
-        missing = [s for s in shapes if s not in self._answers]
-        if not missing:
-            return
-        if self.fn is not first_fit:
-            for height, width in missing:
-                self.misses += 1
-                self._answers[(height, width)] = self.fn(
-                    occupancy, height, width, index=index
-                )
-            return
-        mers = index.mers
-        count = len(mers)
-        heights = np.fromiter(
-            (r.height for r in mers), dtype=np.int64, count=count
-        )
-        widths = np.fromiter(
-            (r.width for r in mers), dtype=np.int64, count=count
-        )
-        rows = np.fromiter(
-            (r.row for r in mers), dtype=np.int64, count=count
-        )
-        cols = np.fromiter(
-            (r.col for r in mers), dtype=np.int64, count=count
-        )
-        _, grid_cols = occupancy.shape
-        corner = rows * (grid_cols + 1) + cols  # row-major corner rank
-        for height, width in missing:
+        for height, width in [s for s in shapes if s not in self._answers]:
             self.misses += 1
-            mask = (heights >= height) & (widths >= width)
-            if count == 0 or not mask.any():
-                self._answers[(height, width)] = None
-                continue
-            best = int(np.where(mask, corner, np.iinfo(np.int64).max)
-                       .argmin())
-            self._answers[(height, width)] = Rect(
-                int(rows[best]), int(cols[best]), height, width
+            self._answers[(height, width)] = self.fn(
+                occupancy, height, width, index=index
             )

@@ -189,8 +189,8 @@ class FreeSpaceManager:
         Matches the incremental engine's counter step for step over any
         shared mutation history (the differential suite pins this):
         allocations and effective releases bump it, releasing an
-        already-free region does not, and :meth:`rebuild` /
-        :meth:`invalidate` count as one external mutation.
+        already-free region does not, and :meth:`rebuild` counts as one
+        external mutation.
         """
         return self._generation
 
@@ -223,19 +223,12 @@ class FreeSpaceManager:
         self._cache = None
         self._generation += 1
 
-    def invalidate(self) -> None:
-        """Drop the cached MER list.
-
-        Only needed after an *external* mutation of the occupancy array;
-        :meth:`allocate` / :meth:`release` invalidate on their own.
-        Kept as the historical name of :meth:`rebuild`.
-        """
+    def rebuild(self) -> None:
+        """Drop the cached MER list after an *external* mutation of the
+        occupancy array (:meth:`allocate` / :meth:`release` keep it
+        current on their own)."""
         self._cache = None
         self._generation += 1
-
-    def rebuild(self) -> None:
-        """Resynchronise with the grid (same as :meth:`invalidate`)."""
-        self.invalidate()
 
     @property
     def mers(self) -> list[Rect]:

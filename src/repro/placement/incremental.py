@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.device.geometry import Rect
 
+from .bitgrid import pack_free_rows
 from .free_space import free_mask, maximal_empty_rectangles
 
 
@@ -43,35 +44,12 @@ class IncrementalFreeSpace:
 
     name = "incremental"
 
-    #: MER-set size below which the scalar paths beat the vectorised
-    #: ones: a handful of attribute compares with early exit is cheaper
-    #: than a few numpy dispatches plus the coordinate-matrix build.
-    #: Small devices (the XC2S15's 8x12 grid rarely exceeds ~15 MERs)
-    #: stay on the scalar code; the acceptance-grid scheduler workloads
-    #: (XCV200, routinely 40-90 MERs) take the vectorised one.  Both
-    #: paths compute identical sets — the differential suite churns
-    #: grids whose MER count crosses this threshold in both directions.
-    SMALL_SET = 20
-
     def __init__(self, occupancy: np.ndarray) -> None:
         self._occupancy = occupancy
         self._mers: set[Rect] = set(maximal_empty_rectangles(occupancy))
         self._free = int(free_mask(occupancy).sum())
-        self._row_bits = self._pack_rows()
+        self._row_bits = pack_free_rows(occupancy)
         self._generation = 0
-        #: lazy query cache over the MER set: (rect list, (N, 4) int64
-        #: matrix of row/col/height/width).  Invalidated by every
-        #: effective mutation.
-        self._query: tuple[list[Rect], np.ndarray] | None = None
-
-    def _pack_rows(self) -> list[int]:
-        """Per-row free-column bitmasks (bit c set = column c free)."""
-        rows = self._occupancy.shape[0]
-        packed = np.packbits(
-            free_mask(self._occupancy), axis=1, bitorder="little"
-        )
-        return [int.from_bytes(packed[r].tobytes(), "little")
-                for r in range(rows)]
 
     # -- protocol: queries ---------------------------------------------------
 
@@ -97,51 +75,19 @@ class IncrementalFreeSpace:
         """Current maximal empty rectangles (order unspecified)."""
         return list(self._mers)
 
-    @staticmethod
-    def _coords_of(rects: list[Rect]) -> np.ndarray:
-        """(N, 4) int64 matrix of (row, col, height, width)."""
-        count = len(rects)
-        if not count:
-            return np.zeros((0, 4), dtype=np.int64)
-        return np.fromiter(
-            ((r.row, r.col, r.height, r.width) for r in rects),
-            dtype=np.dtype((np.int64, 4)), count=count,
-        )
-
-    def _query_arrays(self) -> tuple[list[Rect], np.ndarray]:
-        """MER list plus its coordinate matrix, built lazily once per
-        generation so every fits/fitting query — and the mutation
-        filters themselves — is a vectorised compare instead of a Python
-        attribute walk over the whole set."""
-        if self._query is None:
-            rects = list(self._mers)
-            self._query = (rects, self._coords_of(rects))
-        return self._query
-
     def fits(self, height: int, width: int) -> bool:
         """True when some free rectangle can host the request."""
-        if len(self._mers) <= self.SMALL_SET:
-            return any(
-                r.height >= height and r.width >= width
-                for r in self._mers
-            )
-        _, coords = self._query_arrays()
-        return bool(
-            ((coords[:, 2] >= height) & (coords[:, 3] >= width)).any()
+        return any(
+            r.height >= height and r.width >= width
+            for r in self._mers
         )
 
     def rectangles_fitting(self, height: int, width: int) -> list[Rect]:
         """MERs that can host a ``height`` x ``width`` request."""
-        if len(self._mers) <= self.SMALL_SET:
-            return [
-                r for r in self._mers
-                if r.height >= height and r.width >= width
-            ]
-        rects, coords = self._query_arrays()
-        hits = np.flatnonzero(
-            (coords[:, 2] >= height) & (coords[:, 3] >= width)
-        )
-        return [rects[i] for i in hits]
+        return [
+            r for r in self._mers
+            if r.height >= height and r.width >= width
+        ]
 
     def free_area(self) -> int:
         """Total free sites (tracked, not recounted)."""
@@ -149,20 +95,14 @@ class IncrementalFreeSpace:
 
     def largest_free_area(self) -> int:
         """Area of the largest free rectangle (0 when the grid is full)."""
-        if len(self._mers) <= self.SMALL_SET:
-            return max((r.area for r in self._mers), default=0)
-        rects, coords = self._query_arrays()
-        if not rects:
-            return 0
-        return int((coords[:, 2] * coords[:, 3]).max())
+        return max((r.area for r in self._mers), default=0)
 
     def rebuild(self) -> None:
         """Resynchronise with the grid after an external mutation."""
         self._mers = set(maximal_empty_rectangles(self._occupancy))
         self._free = int(free_mask(self._occupancy).sum())
-        self._row_bits = self._pack_rows()
+        self._row_bits = pack_free_rows(self._occupancy)
         self._generation += 1
-        self._query = None
 
     # -- protocol: mutations -------------------------------------------------
 
@@ -171,21 +111,6 @@ class IncrementalFreeSpace:
         if rect.row < 0 or rect.col < 0 or rect.row_end > rows \
                 or rect.col_end > cols:
             raise ValueError(f"rectangle {rect} outside the {rows}x{cols} grid")
-
-    @staticmethod
-    def _absorbed(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-        """For each inner rect: is it contained in some *differently
-        valued* outer rect?  ``inner``/``outer`` are (N, 4) coordinate
-        matrices; a coordinate-identical outer never counts, mirroring
-        the ``o != p and o.contains_rect(p)`` guard of the set
-        formulation."""
-        ir = inner[:, :2][None, :, :]          # (1, I, 2) origins
-        ie = ir + inner[:, 2:][None, :, :]     # (1, I, 2) ends
-        orow = outer[:, :2][:, None, :]        # (O, 1, 2) origins
-        oe = orow + outer[:, 2:][:, None, :]   # (O, 1, 2) ends
-        contains = ((orow <= ir) & (oe >= ie)).all(axis=2)
-        equal = ((orow == ir) & (oe == ie)).all(axis=2)
-        return (contains & ~equal).any(axis=0)
 
     def allocate(self, rect: Rect, owner: int = 1) -> None:
         """Claim ``rect`` for ``owner``; the region must be free."""
@@ -198,28 +123,12 @@ class IncrementalFreeSpace:
             raise ValueError(f"region {rect} is not entirely free")
         view[...] = owner
         self._free -= rect.area
-        small = len(self._mers) <= self.SMALL_SET
-        if small:
-            unaffected = None
-            overlapping = [m for m in self._mers if m.overlaps(rect)]
-        else:
-            # Read the pre-mutation MER arrays before dropping the
-            # cache (the grid write above does not touch the MER set).
-            rects, coords = self._query_arrays()
-            ov = (
-                (coords[:, 0] < rect.row_end)
-                & (coords[:, 0] + coords[:, 2] > rect.row)
-                & (coords[:, 1] < rect.col_end)
-                & (coords[:, 1] + coords[:, 3] > rect.col)
-            )
-            unaffected = coords[~ov]
-            overlapping = [rects[i] for i in np.flatnonzero(ov)]
         self._generation += 1
-        self._query = None
         span = ((1 << rect.width) - 1) << rect.col
         for r in range(rect.row, rect.row_end):
             self._row_bits[r] &= ~span
 
+        overlapping = [m for m in self._mers if m.overlaps(rect)]
         if not overlapping:
             return
         survivors = self._mers.difference(overlapping)
@@ -242,40 +151,33 @@ class IncrementalFreeSpace:
         if not pieces:
             self._mers = survivors
             return
-        if unaffected is None:
-            # Scalar absorption over precomputed coordinate tuples: the
-            # ``o != p and o.contains_rect(p)`` formulation spends most
-            # of its time in dataclass ``__eq__`` and property calls,
-            # and this check runs on every allocation.
-            cand = [
-                (o.row, o.col, o.row + o.height, o.col + o.width)
-                for o in survivors
-            ]
-            cand += [
-                (o.row, o.col, o.row + o.height, o.col + o.width)
-                for o in pieces
-            ]
-            kept = set()
-            for p in pieces:
-                pr = p.row
-                pc = p.col
-                pre = pr + p.height
-                pce = pc + p.width
-                for cr, cc, cre, cce in cand:
-                    if (cr <= pr and cc <= pc and cre >= pre
-                            and cce >= pce
-                            and not (cr == pr and cc == pc
-                                     and cre == pre and cce == pce)):
-                        break
-                else:
-                    kept.add(p)
-            self._mers = survivors | kept
-            return
-        piece_list = list(pieces)
-        piece_coords = self._coords_of(piece_list)
-        candidates = np.concatenate([unaffected, piece_coords])
-        keep = np.flatnonzero(~self._absorbed(piece_coords, candidates))
-        self._mers = survivors | {piece_list[i] for i in keep}
+        # Absorption over precomputed coordinate tuples: the
+        # ``o != p and o.contains_rect(p)`` formulation spends most of
+        # its time in dataclass ``__eq__`` and property calls, and this
+        # check runs on every allocation.
+        cand = [
+            (o.row, o.col, o.row + o.height, o.col + o.width)
+            for o in survivors
+        ]
+        cand += [
+            (o.row, o.col, o.row + o.height, o.col + o.width)
+            for o in pieces
+        ]
+        kept = set()
+        for p in pieces:
+            pr = p.row
+            pc = p.col
+            pre = pr + p.height
+            pce = pc + p.width
+            for cr, cc, cre, cce in cand:
+                if (cr <= pr and cc <= pc and cre >= pre
+                        and cce >= pce
+                        and not (cr == pr and cc == pc
+                                 and cre == pre and cce == pce)):
+                    break
+            else:
+                kept.add(p)
+        self._mers = survivors | kept
 
     def release(self, rect: Rect) -> None:
         """Return ``rect`` to the free pool."""
@@ -287,11 +189,7 @@ class IncrementalFreeSpace:
             return  # the region was already free: nothing can change
         view[...] = 0
         self._free += freed
-        small = len(self._mers) <= self.SMALL_SET
-        if not small:
-            rects, coords = self._query_arrays()
         self._generation += 1
-        self._query = None
         span = ((1 << rect.width) - 1) << rect.col
         for r in range(rect.row, rect.row_end):
             self._row_bits[r] |= span
@@ -302,29 +200,25 @@ class IncrementalFreeSpace:
         # An old MER is demoted exactly when the freed space lets a
         # strictly larger rectangle absorb it — and that rectangle, being
         # maximal and intersecting the freed rect, is in ``fresh``.
-        if small:
-            # Coordinate-tuple absorption scan (see ``allocate``).
-            fr = [
-                (n.row, n.col, n.row + n.height, n.col + n.width)
-                for n in fresh
-            ]
-            survivors = set()
-            for m in self._mers:
-                mr = m.row
-                mc = m.col
-                mre = mr + m.height
-                mce = mc + m.width
-                for nr, nc, nre, nce in fr:
-                    if (nr <= mr and nc <= mc and nre >= mre
-                            and nce >= mce
-                            and not (nr == mr and nc == mc
-                                     and nre == mre and nce == mce)):
-                        break
-                else:
-                    survivors.add(m)
-        else:
-            demoted = self._absorbed(coords, self._coords_of(fresh))
-            survivors = {rects[i] for i in np.flatnonzero(~demoted)}
+        # Coordinate-tuple absorption scan (see ``allocate``).
+        fr = [
+            (n.row, n.col, n.row + n.height, n.col + n.width)
+            for n in fresh
+        ]
+        survivors = set()
+        for m in self._mers:
+            mr = m.row
+            mc = m.col
+            mre = mr + m.height
+            mce = mc + m.width
+            for nr, nc, nre, nce in fr:
+                if (nr <= mr and nc <= mc and nre >= mre
+                        and nce >= mce
+                        and not (nr == mr and nc == mc
+                                 and nre == mre and nce == mce)):
+                    break
+            else:
+                survivors.add(m)
         self._mers = survivors | set(fresh)
 
     # -- the release sweep ---------------------------------------------------

@@ -279,8 +279,13 @@ class SchedulingKernel:
         #: (h' >= h, w' >= w).  Without it the multi-candidate
         #: disciplines (backfill above all) would re-run the expensive
         #: rearrangement planner for the whole queue on every arrival.
-        #: :meth:`note_space_changed` is the only method that empties it.
         self._failed_shapes: dict[tuple[int, int], bool] = {}
+        #: the occupancy the record speaks about: every member's
+        #: free-space generation when it was last emptied.  Every
+        #: allocation, release, move or adoption bumps some member's
+        #: generation, so :meth:`_admit_pass` empties the record the
+        #: moment the stamp moves — no caller has to report a change.
+        self._failed_stamp: tuple[int, ...] | None = None
         #: external-clock pause flag: while paused, admission passes are
         #: deferred and the clock may not advance (checkpoint windows).
         self._paused = False
@@ -382,13 +387,6 @@ class SchedulingKernel:
         self.queue.discard(item)
         self.drain()
 
-    def note_space_changed(self) -> None:
-        """Record that occupancy changed: empty the failure record, so
-        every shape is probed afresh.  Placements and consolidations do
-        this themselves; releases must call it so blocked work is
-        retried."""
-        self._failed_shapes.clear()
-
     def _shape_blocked(self, height: int, width: int,
                        count: bool = True) -> bool:
         """Whether the failure record proves this footprint cannot place.
@@ -455,7 +453,9 @@ class SchedulingKernel:
         order may have changed), a failed one enters its shape in the
         failure record so no request of that shape (or, with a dominance
         certificate, of any larger one) is re-planned until the
-        occupancy actually changes.  While the kernel is paused
+        occupancy actually changes: every pass first compares the
+        members' free-space generations with the record's stamp and
+        empties the record when they moved.  While the kernel is paused
         (checkpoint window), the pass is deferred to :meth:`resume`.
 
         After the pass settles, the prefetch planner gets one look at
@@ -469,7 +469,12 @@ class SchedulingKernel:
 
     def _admit_pass(self) -> None:
         """The admission loop behind :meth:`drain` (see there)."""
+        members = self.manager.members
         while len(self.queue):
+            stamp = tuple(m.free_space.generation for m in members)
+            if stamp != self._failed_stamp:
+                self._failed_shapes.clear()
+                self._failed_stamp = stamp
             self._prefetch()
             placed = False
             for item in self.queue.scan(self.events.now):
@@ -481,7 +486,6 @@ class SchedulingKernel:
                 )
                 if outcome.success:
                     self.queue.take(item)
-                    self.note_space_changed()
                     if self.on_admitted is not None:
                         self.on_admitted(item, outcome)
                     placed = True
@@ -772,7 +776,6 @@ class SchedulingKernel:
             self.metrics.defrag_port_seconds += outcome.port_seconds
             self.apply_halts(outcome)
             port.acquire(move_seconds=outcome.port_seconds)
-            self.note_space_changed()
             fired = outcome
         if fired is None:
             return None

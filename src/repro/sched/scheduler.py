@@ -290,7 +290,6 @@ class OnlineTaskScheduler:
         self._queue_epochs.pop(task.task_id, None)
         self._queue_deadlines.pop(task.task_id, None)
         self.manager.release(task.task_id)
-        self.kernel.note_space_changed()
         self.metrics.finished += 1
         if task.tenant:
             counts = self.metrics.tenant_finished
@@ -435,7 +434,6 @@ class OnlineTaskScheduler:
                 displaced.append(material)
         for task, on_finish, remaining in displaced:
             self._recover(task, on_finish, remaining, now, summary)
-        kernel.note_space_changed()
         kernel.sample()
         kernel.drain()
         return summary
@@ -530,7 +528,6 @@ class OnlineTaskScheduler:
                            lambda: self._heal_region(fault_id))
         for task, on_finish, remaining in displaced:
             self._recover(task, on_finish, remaining, now, summary)
-        kernel.note_space_changed()
         kernel.sample()
         kernel.drain()
         summary["fault"] = fault_id
@@ -544,7 +541,6 @@ class OnlineTaskScheduler:
             return
         for owner, _rect in record["owners"]:
             self.manager.release(owner)
-        self.kernel.note_space_changed()
         self.kernel.sample()
         self.kernel.drain()
 

@@ -22,12 +22,15 @@ from repro.device.geometry import Rect
 
 
 class TaskState(Enum):
-    """Life-cycle of a placed task."""
+    """Life-cycle of a task: pending, queued, configuring from its
+    placement on, then one terminal state."""
 
     PENDING = "pending"
     QUEUED = "queued"
     CONFIGURING = "configuring"
-    READY = "ready"
+    #: never stored on a task: the service's status view reports a
+    #: configuring task as running once its configuration completed
+    #: (``started_at`` has passed).
     RUNNING = "running"
     FINISHED = "finished"
     REJECTED = "rejected"

@@ -44,6 +44,11 @@ POST      /shutdown               resolve :attr:`ServiceAPI.shutdown`
 Simulated time never advances on its own: clients move it via ``at``
 submission stamps or ``/clock/advance`` (``python -m repro.service
 --auto-advance`` adds a wall-clock ticker for interactive use).
+
+Every connection gets a JSON answer or a clean close: a request that
+cannot be parsed is a 400, a ``Content-Length`` above
+:data:`MAX_BODY_BYTES` a 413, and a request not read whole within
+:data:`READ_TIMEOUT_S` a 408.
 """
 
 from __future__ import annotations
@@ -61,9 +66,21 @@ from .qos import QOS_CLASSES
 #: HTTP reason phrases for the status codes the API emits.
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict",
-    429: "Too Many Requests", 500: "Internal Server Error",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
+    413: "Content Too Large", 429: "Too Many Requests",
+    500: "Internal Server Error",
 }
+
+#: Largest request body read, in bytes; a longer ``Content-Length`` is
+#: answered 413 before any of the body is read.  An inline ``/restore``
+#: posts a whole checkpoint, about 13.5 MB after 16k submissions, so
+#: the cap leaves room for several times that.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a client has to deliver one whole request (request line,
+#: headers and body); a slower one is answered 408, so no connection
+#: can hold the server's attention forever.
+READ_TIMEOUT_S = 30.0
 
 
 _LOG = logging.getLogger(__name__)
@@ -154,7 +171,13 @@ class ServiceAPI:
         """Serve one request on one connection, then close it."""
         try:
             try:
-                parsed = await self._read_request(reader)
+                try:
+                    async with asyncio.timeout(READ_TIMEOUT_S):
+                        parsed = await self._read_request(reader)
+                except TimeoutError:
+                    raise _HttpError(
+                        408, f"request not received within "
+                             f"{READ_TIMEOUT_S:g} s") from None
                 if parsed is None:
                     return
                 method, path, query, body = parsed
@@ -208,6 +231,12 @@ class ServiceAPI:
                     raise _HttpError(
                         400, "Content-Length is not an integer"
                     ) from None
+                if length < 0:
+                    raise _HttpError(400, "Content-Length is negative")
+                if length > MAX_BODY_BYTES:
+                    raise _HttpError(
+                        413, f"request body over {MAX_BODY_BYTES} bytes"
+                    )
         body = {}
         if length:
             raw = await reader.readexactly(length)

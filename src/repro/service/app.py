@@ -260,7 +260,6 @@ class ServiceEngine(OnlineTaskScheduler):
             self.manager.release(task_id)
             task.state = TaskState.CANCELLED
             self._journal("cancelled", task)
-            self.kernel.note_space_changed()
             self.kernel.sample()
             self._record_telemetry()
             self.kernel.drain()
@@ -484,16 +483,25 @@ class ReproService:
     # -- introspection -------------------------------------------------------
 
     def status(self, task_id: int) -> dict:
-        """Status view of one task (:class:`KeyError` on unknown ids)."""
+        """Status view of one task (:class:`KeyError` on unknown ids).
+
+        A placed task is ``configuring`` until its configuration
+        completes at ``started_at`` and ``running`` from then until it
+        finishes; the engine records only the placement, so the view
+        derives the second state from the clock.
+        """
         task = self.engine.tasks.get(task_id)
         if task is None:
             raise KeyError(f"unknown task {task_id}")
         tenant, qos = self.task_meta.get(task_id, ("default",
                                                    "best-effort"))
         rect = task.rect
+        state = task.state
+        if state is TaskState.CONFIGURING and self.now >= task.started_at:
+            state = TaskState.RUNNING
         return {
             "task": task.task_id,
-            "state": task.state.value,
+            "state": state.value,
             "tenant": tenant,
             "qos": qos,
             "height": task.height,

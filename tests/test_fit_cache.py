@@ -15,8 +15,7 @@ under test:
   class the generation key eliminates, and the reason these tests pin
   the counter's semantics rather than just the happy path;
 * ``prefetch`` (the admission loop's batch warm) produces bit-identical
-  answers to one-at-a-time calls for every heuristic, including the
-  vectorised ``first_fit`` masked-argmin path;
+  answers to one-at-a-time calls for every heuristic;
 * grid-path calls (no index) and indexes without a generation counter
   bypass the cache entirely.
 """
@@ -187,30 +186,6 @@ class TestPrefetch:
                 fn(engine.occupancy, h, w, index=engine)
         assert cached.misses == misses  # all served from the warm memo
 
-    def test_prefetch_first_fit_many_states(self):
-        """The vectorised masked-argmin equals min(fitting) over many
-        churn states, full grids included."""
-        engine = IncrementalFreeSpace(np.zeros((9, 13), dtype=np.int32))
-        rng = random.Random(3)
-        placed = []
-        owner = 0
-        for _ in range(80):
-            cached = CachedFitter(first_fit)
-            cached.prefetch(engine.occupancy, SHAPES, engine)
-            for h, w in SHAPES:
-                assert cached(engine.occupancy, h, w, index=engine) == \
-                    first_fit(engine.occupancy, h, w, index=engine)
-            if placed and rng.random() < 0.45:
-                engine.release(placed.pop(rng.randrange(len(placed))))
-            else:
-                spot = first_fit(engine.occupancy, rng.randint(1, 3),
-                                 rng.randint(1, 3), index=engine)
-                if spot is None:
-                    continue
-                owner += 1
-                engine.allocate(spot, owner)
-                placed.append(spot)
-
 
 class TestBypass:
     """States with no generation token are never cached."""
@@ -239,6 +214,6 @@ class TestBypass:
         cached = CachedFitter(first_fit)
         assert cached(occ, 2, 2, index=bare) == Rect(0, 0, 2, 2)
         occ[0:2, 0:2] = 5
-        bare._inner.invalidate()
+        bare._inner.rebuild()
         assert cached(occ, 2, 2, index=bare) == Rect(0, 2, 2, 2)
         assert cached.hits == 0 and cached.misses == 0

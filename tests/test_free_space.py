@@ -96,7 +96,7 @@ class TestFreeSpaceManager:
         mgr = FreeSpaceManager(occ)
         assert mgr.fits(4, 4)
         occ[0, 0] = 1
-        mgr.invalidate()
+        mgr.rebuild()
         assert not mgr.fits(4, 4)
         assert mgr.fits(3, 4)
 

@@ -9,10 +9,10 @@ metrics and port timelines, event for event.  This suite runs the two
 kernels in lockstep over hypothesis-chosen workloads (timeout-heavy
 churn; the slow variant crosses every queue discipline with every port
 model, on one device and on a 2-member fleet) and pins the invalidation
-contract (every path that changes occupancy empties the record, and
-every verdict it returns is backed by a real failing probe).  A record
-that silently stopped hitting fails ``tests/test_work_budget.py``,
-which pins the admission work exactly.
+contract (every path that changes occupancy moves the generation stamp
+that empties the record, and every verdict it returns is backed by a
+real failing probe).  A record that silently stopped hitting fails
+``tests/test_work_budget.py``, which pins the admission work exactly.
 """
 
 import pytest
@@ -131,9 +131,10 @@ def test_shape_memo_never_outlives_a_generation_bump():
     """The invalidation contract, driven through the kernel: the record
     holds verdicts about the current occupancy only.  A pass over an
     unchanged occupancy re-probes nothing, and each path that changes
-    it — an admission, a release reported through
-    ``note_space_changed``, a proactive consolidation — empties the
-    record, so the blocked shape is probed afresh."""
+    it — an admission, a release nobody reports to the kernel, a
+    stuck-at region appearing and healing, a proactive consolidation —
+    moves a member's free-space generation, so the next pass empties
+    the record and probes the blocked shape afresh."""
     manager = LogicSpaceManager(
         Fabric(device("XC2S15")),
         defrag_policy=IdleDefrag(min_fragmentation=0.0, cooldown=0.0),
@@ -167,15 +168,24 @@ def test_shape_memo_never_outlives_a_generation_bump():
     assert manager.fabric.footprint(11) is not None
     assert probes.count(10) == 2, "an admission kept the record"
 
-    manager.release(11)
-    kernel.note_space_changed()
-    assert not kernel._shape_blocked(20, 20, count=False)
+    manager.release(11)  # the kernel is not told
     kernel.drain()
     assert probes.count(10) == 3, "a release kept the record"
 
+    # A stuck-at blocker enters and heals through the fleet, as the
+    # fault path's ``adopt`` and ``release`` do.
+    kernel.manager.adopt(12, 0, Rect(0, 2, 1, 1))
+    kernel.drain()
+    assert probes.count(10) == 4, "a stuck-at region kept the record"
+    kernel.manager.release(12)
+    kernel.drain()
+    assert probes.count(10) == 5, "a healed region kept the record"
+    kernel.drain()
+    assert probes.count(10) == 5, "re-probed against the same occupancy"
+
     outcome = kernel.maybe_defrag()
     assert outcome is not None and outcome.moves
-    assert probes.count(10) == 4, "a consolidation kept the record"
+    assert probes.count(10) == 6, "a consolidation kept the record"
 
 
 def test_every_memo_skip_is_backed_by_a_real_failure():

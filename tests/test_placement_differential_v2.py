@@ -1,25 +1,21 @@
-"""Differential suite v2: the vectorised admission hot path, in lockstep.
+"""Differential suite v2: the incremental engine and the reference, in
+lockstep.
 
-Issue 6 vectorised the incremental engine's query cache (``(N, 4)``
-coordinate matrices), its absorption filters and its mutation-time
-overlap tests, and added a small-set scalar fast path
-(``IncrementalFreeSpace.SMALL_SET``) below which the original Python
-code runs.  The first differential suite
-(``tests/test_free_space_differential.py``) compares each engine to the
-ground-truth sweep; this one drives the **vectorised engine and the
-reference recompute engine through one identical mutation history in
-lockstep** and, after *every* step, holds three observables equal:
+The first differential suite (``tests/test_free_space_differential.py``)
+compares each engine to the ground-truth sweep; this one drives **the
+incremental engine and the reference recompute engine through one
+identical mutation history in lockstep** and, after *every* step, holds
+three observables equal:
 
 * the MER sets,
 * every index-backed fragmentation/utilization metric,
 * the free-space **generation counters** — including that no-op
-  releases bump neither (the fit cache and the planner memo key on this
-  counter, so a counter divergence would silently decouple their
-  invalidation from reality).
+  releases bump neither (the fit cache, the planner memo and the
+  kernel's failure record key on this counter, so a counter divergence
+  would silently decouple their invalidation from reality).
 
-Histories are generated so the MER count repeatedly crosses
-``SMALL_SET`` in both directions: every lockstep run exercises the
-scalar path, the vectorised path, and both hand-over points.
+Histories run from tiny grids to the XCV200's 28 x 42, scattering
+placements so the MER set grows well past the handful an XC2S15 holds.
 """
 
 import random
@@ -40,7 +36,7 @@ pytestmark = pytest.mark.slow
 
 
 def make_pair(rows: int, cols: int):
-    """One (vectorised, reference) engine pair over twin empty grids."""
+    """One (incremental, reference) engine pair over twin empty grids."""
     inc = IncrementalFreeSpace(np.zeros((rows, cols), dtype=np.int32))
     ref = FreeSpaceManager(np.zeros((rows, cols), dtype=np.int32))
     return inc, ref
@@ -73,7 +69,7 @@ def assert_lockstep(inc: IncrementalFreeSpace,
 def drive_lockstep(inc: IncrementalFreeSpace, ref: FreeSpaceManager,
                    rng: random.Random, steps: int,
                    max_h: int, max_w: int,
-                   check_every: int = 1) -> tuple[int, set[int]]:
+                   check_every: int = 1) -> int:
     """Apply one random history to both engines, checking as we go.
 
     Mutations are chosen off the *reference* engine's view (placements
@@ -81,14 +77,12 @@ def drive_lockstep(inc: IncrementalFreeSpace, ref: FreeSpaceManager,
     an observational mismatch rather than as a forked history.  A slice
     of the steps are deliberate **no-op releases** of already-free
     regions, which must leave both generation counters untouched.
-    Returns (mutations applied, MER-set sizes seen) so callers can
-    assert the run crossed the scalar/vectorised threshold.
+    Returns the number of mutations applied.
     """
     rows, cols = ref.occupancy.shape
     placed: dict[int, Rect] = {}
     owner = 0
     mutations = 0
-    sizes: set[int] = set()
     for _ in range(steps):
         roll = rng.random()
         if placed and (roll < 0.42
@@ -121,7 +115,7 @@ def drive_lockstep(inc: IncrementalFreeSpace, ref: FreeSpaceManager,
                 continue
             # A random anchor inside a random fitting MER (not first
             # fit): scattering placements keeps the grid fragmented,
-            # which is what pushes the MER count over SMALL_SET.
+            # which is what grows the MER set.
             host = sorted(fitting)[rng.randrange(len(fitting))]
             rect = Rect(host.row + rng.randint(0, host.height - h),
                         host.col + rng.randint(0, host.width - w),
@@ -131,11 +125,10 @@ def drive_lockstep(inc: IncrementalFreeSpace, ref: FreeSpaceManager,
             inc.allocate(rect, owner)
             placed[owner] = rect
         mutations += 1
-        sizes.add(len(inc.mers))
         if mutations % check_every == 0:
             assert_lockstep(inc, ref)
     assert_lockstep(inc, ref)
-    return mutations, sizes
+    return mutations
 
 
 class TestLockstepProperty:
@@ -145,33 +138,15 @@ class TestLockstepProperty:
         st.integers(0, 2 ** 16),
     )
     def test_random_histories_small_grids(self, rows, cols, seed):
-        """Small grids live mostly under SMALL_SET: the scalar paths."""
+        """Small grids: a handful of MERs, every grid shape 3..9."""
         inc, ref = make_pair(rows, cols)
-        drive_lockstep(inc, ref, random.Random(seed), steps=30,
-                       max_h=rows, max_w=cols)
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(3, 9), st.integers(3, 9),
-           st.integers(0, 2 ** 16))
-    def test_random_histories_vectorised_paths_forced(self, rows, cols,
-                                                      seed):
-        """The same histories with the scalar fast path disabled.
-
-        An instance-level ``SMALL_SET = 0`` forces every mutation and
-        query through the vectorised code no matter how few MERs are
-        live, so this exercises exactly the numpy paths on the exact
-        histories the small-grid test runs scalar — any behavioural
-        split between the two regimes fails one of the twins.
-        """
-        inc, ref = make_pair(rows, cols)
-        inc.SMALL_SET = 0
         drive_lockstep(inc, ref, random.Random(seed), steps=30,
                        max_h=rows, max_w=cols)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 16))
     def test_random_histories_vectorised_grid(self, seed):
-        """A mid-size grid whose churn straddles the threshold."""
+        """A mid-size grid, whose churn holds dozens of MERs."""
         inc, ref = make_pair(16, 24)
         drive_lockstep(inc, ref, random.Random(seed),
                        steps=60, max_h=4, max_w=4, check_every=4)
@@ -185,9 +160,9 @@ class TestLockstepProperty:
                                                         cols, seed):
         """Generations equal the number of *effective* mutations."""
         inc, ref = make_pair(rows, cols)
-        mutations, _ = drive_lockstep(inc, ref, random.Random(seed),
-                                      steps=25, max_h=rows, max_w=cols,
-                                      check_every=25)
+        mutations = drive_lockstep(inc, ref, random.Random(seed),
+                                   steps=25, max_h=rows, max_w=cols,
+                                   check_every=25)
         # Every step either mutated both engines once or was a no-op
         # release; the counters must agree with each other at the end
         # (checked inside) and never exceed the mutation count.
@@ -201,26 +176,22 @@ class TestLongChurn:
         rng = random.Random(20030303)
         inc, ref = make_pair(28, 42)
         full_every = 25
-        mutations, sizes = drive_lockstep(
+        mutations = drive_lockstep(
             inc, ref, rng, steps=1200, max_h=7, max_w=10,
             check_every=full_every,
         )
         assert mutations >= 1000
-        # The run must exercise both regimes and the hand-over.
-        assert min(sizes) <= IncrementalFreeSpace.SMALL_SET
-        assert max(sizes) > IncrementalFreeSpace.SMALL_SET
         # Final state agrees with the ground-truth sweep, not just with
         # the sibling engine.
         assert set(inc.mers) == \
             set(maximal_empty_rectangles(inc.occupancy))
 
     def test_small_grid_long_churn(self):
-        """An XC2S15-sized grid: the scalar fast path, 1000+ steps."""
+        """An XC2S15-sized grid, 1000+ steps."""
         rng = random.Random(977)
         inc, ref = make_pair(8, 12)
-        mutations, sizes = drive_lockstep(
+        mutations = drive_lockstep(
             inc, ref, rng, steps=1100, max_h=4, max_w=5,
             check_every=20,
         )
         assert mutations >= 1000
-        assert min(sizes) <= IncrementalFreeSpace.SMALL_SET

@@ -149,6 +149,24 @@ def test_submit_places_immediately_when_space_exists():
     assert events == ["submitted", "admitted", "finished"]
 
 
+def test_placed_task_reads_running_once_configured():
+    """A placed task is configuring until ``started_at``, then running
+    until it finishes; the ``state`` filter sees the same view."""
+    svc = small_service()
+    view = svc.submit(3, 3, 5.0, qos="gold")
+    task_id = view["task"]
+    assert view["state"] == "configuring"
+    assert 0.0 < view["started_at"] < 1.0
+    assert svc.tasks(state="running") == []
+    svc.advance(seconds=1.0)
+    assert svc.status(task_id)["state"] == "running"
+    assert [v["task"] for v in svc.tasks(state="running")] == [task_id]
+    assert svc.tasks(state="configuring") == []
+    svc.advance(seconds=5.0)
+    assert svc.status(task_id)["state"] == "finished"
+    assert svc.tasks(state="running") == []
+
+
 def test_submissions_queue_and_patience_rejects():
     svc = small_service()
     # XC2S15 is 8x12 = 96 sites; an 8x12 task fills the fabric.
@@ -367,6 +385,29 @@ def test_checkpoint_roundtrip_streams_are_bit_identical(cut):
     assert thawed.engine.journal == whole.engine.journal
     assert thawed.engine.telemetry == whole.engine.telemetry
     assert thawed.stats() == whole.stats()
+
+
+def test_checkpoint_roundtrip_cancels_a_running_task_alike():
+    """Cancelling a task the view reports running, on the original and
+    on its restored copy, leaves the same journal on both sides."""
+    _, trace = surge_service()
+    sides = []
+    for thaw in (False, True):
+        svc, _ = surge_service()
+        for sub in trace[:20]:
+            svc.submit(**sub)
+        if thaw:
+            svc = restore(snapshot(svc))
+        running = [v["task"] for v in svc.tasks(state="running")]
+        assert running, "expected a running task at the cut"
+        assert svc.cancel(running[-1])["state"] == "cancelled"
+        for sub in trace[20:]:
+            svc.submit(**sub)
+        svc.settle()
+        sides.append(svc)
+    whole, thawed = sides
+    assert thawed.engine.journal == whole.engine.journal
+    assert "cancelled" in [e["event"] for e in whole.engine.journal]
 
 
 def test_checkpoint_roundtrip_on_a_fleet():

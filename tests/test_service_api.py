@@ -25,10 +25,13 @@ repo deliberately carries no pytest-asyncio dependency).  Pinned:
 
 import asyncio
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service import ReproService, ServiceAPI, ServiceConfig
+from repro.service import api as api_module
 
 
 class Client:
@@ -112,8 +115,17 @@ def test_submit_status_cancel_lifecycle_over_http():
         status, fetched, _ = await client.request(
             "GET", f"/tasks/{task_id}")
         assert status == 200 and fetched["state"] == "configuring"
+        # Configured at ``started_at``: running from then on.
+        await client.request(
+            "POST", "/clock/advance", {"until": fetched["started_at"]})
+        status, fetched, _ = await client.request(
+            "GET", f"/tasks/{task_id}")
+        assert fetched["state"] == "running"
+        status, payload, _ = await client.request(
+            "GET", "/tasks?state=running")
+        assert [view["task"] for view in payload["tasks"]] == [task_id]
         status, now, _ = await client.request(
-            "POST", "/clock/advance", {"seconds": 5.0})
+            "POST", "/clock/advance", {"until": 5.0})
         assert status == 200 and now["now"] == 5.0
         status, fetched, _ = await client.request(
             "GET", f"/tasks/{task_id}")
@@ -144,15 +156,20 @@ def test_validation_errors_map_to_400_and_404():
     with_api(scenario)
 
 
-def answers_400_then_serves_on(request: bytes, error: str) -> None:
-    """A bad request gets a 400 with a JSON error (not a dropped
-    connection and a logged traceback), and the server keeps serving."""
+def answers_error_then_serves_on(request: bytes, error: str,
+                                 status: int = 400) -> None:
+    """A bad request gets its error status with a JSON error (not a
+    dropped connection and a logged traceback), and the server keeps
+    serving."""
+    expected = status
+
     async def scenario(api, client):
         unhandled = []
         asyncio.get_running_loop().set_exception_handler(
             lambda loop, context: unhandled.append(context))
-        status, payload, _ = await client.raw(request)
-        assert status == 400 and error in payload["error"]
+        status, payload, _ = await asyncio.wait_for(client.raw(request),
+                                                    timeout=10.0)
+        assert status == expected and error in payload["error"]
         status, payload, _ = await client.request("GET", "/healthz")
         assert status == 200 and payload["status"] == "ok"
         assert not unhandled
@@ -160,34 +177,137 @@ def answers_400_then_serves_on(request: bytes, error: str) -> None:
 
 
 def test_malformed_request_line_is_a_400():
-    answers_400_then_serves_on(b"NONSENSE\r\n\r\n", "malformed request line")
+    answers_error_then_serves_on(b"NONSENSE\r\n\r\n", "malformed request line")
 
 
 def test_non_integer_content_length_is_a_400():
-    answers_400_then_serves_on(
+    answers_error_then_serves_on(
         b"POST /tasks HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
         "Content-Length is not an integer",
     )
 
 
 def test_json_array_submit_body_is_a_400():
-    answers_400_then_serves_on(
+    answers_error_then_serves_on(
         b"POST /tasks HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]",
         "not a JSON object",
     )
 
 
 def test_json_array_clock_advance_body_is_a_400():
-    answers_400_then_serves_on(
+    answers_error_then_serves_on(
         b"POST /clock/advance HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]",
         "not a JSON object",
     )
 
 
+def test_negative_content_length_is_a_400():
+    answers_error_then_serves_on(
+        b"POST /tasks HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        "Content-Length is negative",
+    )
+
+
+def test_oversized_content_length_is_a_413_before_any_body_is_read(
+        monkeypatch):
+    # A server that waited for the body would answer 408 instead.
+    monkeypatch.setattr(api_module, "READ_TIMEOUT_S", 1.0)
+    answers_error_then_serves_on(
+        b"POST /restore HTTP/1.1\r\nContent-Length: 99999999999\r\n"
+        b"\r\n{}",
+        "request body over", status=413,
+    )
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"",
+    b"GET /heal",
+    b"GET /healthz HTTP/1.1\r\nHost: t\r\n",
+    b"POST /tasks HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+], ids=["nothing", "partial-line", "no-blank-line", "short-body"])
+def test_slow_request_is_a_408(monkeypatch, request_bytes):
+    """The request line, the headers or the body not arriving in time:
+    a 408, and the server keeps serving."""
+    monkeypatch.setattr(api_module, "READ_TIMEOUT_S", 0.2)
+    answers_error_then_serves_on(request_bytes, "not received within",
+                                 status=408)
+
+
+_HEADER_LINES = st.one_of(
+    st.sampled_from([
+        b"Host: t", b"Content-Length: 0", b"Content-Length: 2",
+        b"Content-Length: 40", b"Content-Length: -1", b"Content-Length:",
+        b"Content-Length: x", b"Content-Length: 99999999999",
+    ]),
+    st.binary(max_size=24).filter(lambda line: b"\n" not in line),
+)
+
+
+@st.composite
+def raw_requests(draw) -> bytes:
+    """Bytes a client might send: noise, or a request assembled from
+    plausible and broken parts.  Routes that stream, write files or
+    stop the server are left out."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    line = b" ".join([
+        draw(st.sampled_from([b"GET", b"POST", b"DELETE", b"PUT", b""])),
+        draw(st.sampled_from([
+            b"/healthz", b"/qos", b"/tasks", b"/tasks/1", b"/tasks/x",
+            b"/tasks?state=running&limit=2", b"/clock/advance",
+            b"/clock/settle", b"/telemetry", b"/stats", b"/faults",
+            b"/restore", b"/nowhere", b"",
+        ])),
+        draw(st.sampled_from([b"HTTP/1.1", b"", b"HTTP/9"])),
+    ])
+    head = b"\r\n".join([line, *draw(st.lists(_HEADER_LINES, max_size=4))])
+    end = draw(st.sampled_from([b"\r\n\r\n", b"\n\n", b"\r\n", b""]))
+    body = draw(st.one_of(
+        st.binary(max_size=64),
+        st.sampled_from([
+            b"{}", b"[1]", b'{"seconds": 1}', b'{"kind": "port-flaky"}',
+            b'{"height": 2, "width": 2, "exec_seconds": 1}',
+        ]),
+    ))
+    return head + end + body
+
+
+@settings(max_examples=60, deadline=None)
+@given(request=raw_requests(), half_close=st.booleans())
+def test_any_request_bytes_get_an_answer_or_a_clean_close(request,
+                                                          half_close):
+    """Fuzz over raw request bytes: every connection gets an HTTP
+    response with a JSON body, or is closed without one, and the server
+    keeps serving.  A client that half-closes ends its request early; one
+    that stays open and silent meets the read timeout."""
+    async def scenario(api, client):
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context))
+        reader, writer = await asyncio.open_connection(client.host,
+                                                       client.port)
+        writer.write(request)
+        if half_close:
+            writer.write_eof()
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+        writer.close()
+        if raw:
+            head, _, payload = raw.partition(b"\r\n\r\n")
+            version, status, _ = head.split(b"\r\n")[0].split(b" ", 2)
+            assert version == b"HTTP/1.1" and 200 <= int(status) < 600
+            assert isinstance(json.loads(payload), dict)
+        status, payload, _ = await client.request("GET", "/healthz")
+        assert status == 200 and payload["status"] == "ok"
+        assert not unhandled
+    with mock.patch.object(api_module, "READ_TIMEOUT_S", 0.05):
+        with_api(scenario)
+
+
 @pytest.mark.parametrize("route", ["/tasks", "/telemetry/stream"])
 @pytest.mark.parametrize("limit", ["-1", "x", "1.5", "+1", "%C2%B2"])
 def test_bad_limit_is_a_400(route, limit):
-    answers_400_then_serves_on(
+    answers_error_then_serves_on(
         f"GET {route}?limit={limit} HTTP/1.1\r\n\r\n".encode(),
         "query parameter 'limit' must be an integer >= 0",
     )
@@ -201,14 +321,14 @@ def post(path: str, body: dict) -> bytes:
 
 
 def test_wrong_typed_clock_advance_field_is_a_400():
-    answers_400_then_serves_on(
+    answers_error_then_serves_on(
         post("/clock/advance", {"seconds": "x"}),
         "field 'seconds' must be a finite number",
     )
 
 
 def test_null_fault_member_is_a_400():
-    answers_400_then_serves_on(
+    answers_error_then_serves_on(
         post("/faults", {"kind": "member-death", "member": None}),
         "field 'member' must be an integer",
     )

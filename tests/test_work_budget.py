@@ -12,17 +12,17 @@ counter moves when the fit cache is lost).
 
 * XC2S15 churn on one member (fifo/serial, backfill/icap) and on a
   2-member round-robin fleet (priority/serial): the kernel's failure
-  record, the fleet memo and the scalar screen;
+  record, the members' repeated probes at one generation and the
+  scalar screen;
 * a 4-member XC2S30 least-loaded fleet under a surge;
 * XCV200 backfill/icap through ``run_scenario``: the slab screen;
 * XCV1000 fifo/serial through ``run_scenario``: a grid wider than 64
   columns, screened one window at a time.
 
 On the same cells, the oracle turns every admission cache off at once:
-the failure record, the fleet memo, the fit cache and the planner's
-plan, compaction and blocker-set caches.  The metrics, the admission
-trace, the event count and every member's final occupancy must equal
-the cached run's.
+the failure record, the fit cache and the planner's plan, compaction
+and blocker-set caches.  The metrics, the admission trace, the event
+count and every member's final occupancy must equal the cached run's.
 
 A change that moves a budget lists old -> new per counter in
 CHANGES.md, with the reason.
@@ -35,6 +35,7 @@ import pytest
 
 from repro.campaign import runner
 from repro.campaign.spec import ScenarioSpec, normalize_params
+from repro.core.defrag import DefragPlanner
 from repro.core.manager import LogicSpaceManager
 from repro.device.devices import device
 from repro.device.fabric import Fabric
@@ -120,11 +121,11 @@ BUDGETS = {
         _perf(2112, 5314, 1744, 0, 246, 18882, 389, 7850, 747, 4784, 0),
         (4767, 3240)),
     "xc2s15-fleet2-priority-serial": (
-        _perf(319, 186, 12, 126, 234, 3863, 443, 2039, 231, 1022, 0),
-        (1057, 474)),
+        _perf(319, 186, 12, 0, 234, 3863, 443, 2039, 231, 1022, 0),
+        (1183, 474)),
     "xc2s30-fleet4-least-loaded": (
-        _perf(178, 52, 0, 98, 239, 3403, 740, 973, 193, 841, 0),
-        (984, 518)),
+        _perf(178, 52, 0, 0, 239, 3403, 740, 973, 193, 841, 0),
+        (1082, 518)),
     "xcv200-backfill-icap": (
         _perf(553, 823, 0, 0, 142, 101177, 15275, 49905, 3172, 8010, 0),
         (1139, 689)),
@@ -132,13 +133,6 @@ BUDGETS = {
         _perf(116, 78, 0, 0, 71, 14082, 14155, 5488, 275, 0, 724),
         (232, 116)),
 }
-
-
-class _NeverStores(dict):
-    """A memo that forgets every entry it is given."""
-
-    def __setitem__(self, key, value) -> None:
-        pass
 
 
 def _replace(obj, name: str, value) -> None:
@@ -150,15 +144,16 @@ def _replace(obj, name: str, value) -> None:
 
 def _caches_off(scheduler) -> None:
     """Every admission cache of one schedule, off."""
-    fleet = scheduler.kernel.manager
     _disable_memos(scheduler.kernel)
-    _replace(fleet, "_member_shape_failed", _NeverStores())
-    for member in fleet.members:
+    for member in scheduler.kernel.manager.members:
         # The bare heuristic answers every probe afresh: nothing to warm.
         bare = functools.partial(member.fit.fn)
         bare.prefetch = lambda occupancy, shapes, index: None
         _replace(member, "fit", bare)
-        _replace(member.planner, "_shared_state", lambda token: None)
+        # A fresh planner state for every call: no token is ever shared.
+        _replace(member.planner, "_shared_state",
+                 lambda token, planner=member.planner:
+                 DefragPlanner._shared_state(planner, None))
         _replace(member.planner, "plan_prefetch",
                  lambda occupancy, shapes, token: None)
 
