@@ -16,7 +16,7 @@ through the door, and the benchmark's service workload a ``diurnal``
 one, instead of inventing a second traffic model.
 
 Task priorities map onto QoS classes via
-:func:`repro.service.qos.qos_for_priority` (0 best-effort, 1 silver,
+:func:`repro.sched.trace.qos_of_priority` (0 best-effort, 1 silver,
 2+ gold), and tenants are assigned round-robin over a caller-supplied
 list — deterministic, like everything else in a trace.
 """
@@ -24,8 +24,8 @@ list — deterministic, like everything else in a trace.
 from __future__ import annotations
 
 from repro.device.devices import device as device_by_name
+from repro.sched.trace import qos_of_priority
 from repro.sched.workload import get_workload
-from repro.service.qos import qos_for_priority
 
 __all__ = ["replay_trace", "replay_workload", "service_trace"]
 
@@ -59,7 +59,7 @@ def service_trace(workload: str, device: str = "XC2S15", seed: int = 0,
             "exec_seconds": task.exec_seconds,
             "max_wait": task.max_wait,
             "tenant": tenants[index % len(tenants)],
-            "qos": qos_for_priority(task.priority),
+            "qos": qos_of_priority(task.priority),
         })
     return trace
 

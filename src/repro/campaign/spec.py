@@ -171,8 +171,7 @@ class ScenarioSpec:
 
         ``fleet_devices`` members join the primary ``device``;
         otherwise the fleet is ``fleet_size`` copies of it.  A 1-tuple
-        means the single-device paper model (the runner then skips the
-        fleet layer entirely).
+        means the single-device paper model, run as a 1-member fleet.
         """
         if self.fleet_devices:
             return (self.device, *self.fleet_devices)

@@ -2,32 +2,47 @@
 
 A :class:`FaultPlan` is data, not behaviour: each
 :class:`FaultEvent` names a kind (``member-death``, ``region-stuck``,
-``port-flaky``), an injection instant and the kind's parameters.
-:meth:`FaultPlan.install` schedules the events on a scheduler's own
-event queue, where the scheduler's fault machinery
-(:meth:`~repro.sched.scheduler.OnlineTaskScheduler.kill_member`,
-:meth:`~repro.sched.scheduler.OnlineTaskScheduler.inject_region_fault`,
-:meth:`~repro.sched.scheduler.OnlineTaskScheduler.flake_port`) carries
-them out.  Everything is derived from ``(name, device shape,
-fleet size, seed)`` through a dedicated :class:`random.Random`, so the
-same spec always injects the same faults — the property every
-determinism test in the battery leans on.
+``port-flaky``), an injection instant and the kind's parameters, and
+refuses a malformed field when it is built.  :meth:`FaultPlan.install`
+schedules the events on a scheduler's own event queue, where the
+kernel's :class:`~repro.faults.recovery.FaultRecovery` carries each
+one out through its single
+:meth:`~repro.faults.recovery.FaultRecovery.apply`.  Everything is
+derived from ``(name, device shape, fleet size, seed)`` through a
+dedicated :class:`random.Random`, so the same spec always injects the
+same faults — the property every determinism test in the battery
+leans on.
 
-This module deliberately imports nothing from the rest of the tree:
-the scheduler layer imports nothing from here either, so fault plans
-can be built (and unit-tested) in complete isolation.
+This module deliberately imports nothing from the rest of the tree, so
+fault plans can be built (and unit-tested) in complete isolation.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 #: default mid-surge kill instant for the ``kill-member`` plan: the
 #: fleet-surge generator's arrivals land in roughly the first three
 #: simulated seconds, so t = 2.0 hits the fleet at peak residency.
 KILL_AT = 2.0
+
+#: the fault kinds a :class:`FaultEvent` may name.
+FAULT_KINDS = ("member-death", "region-stuck", "port-flaky")
+
+
+def _require(name: str, value, minimum, integral: bool = False) -> None:
+    """Raise :class:`ValueError` unless ``value`` is a finite number
+    (an integer when ``integral``; never a boolean) >= ``minimum``."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not math.isfinite(value) or value < minimum:
+        wanted = "an integer" if integral else "a finite number"
+        raise ValueError(f"fault {name} must be {wanted} >= {minimum}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,13 +68,24 @@ class FaultEvent:
     backoff: float = 0.2
 
     def __post_init__(self) -> None:
-        """Validate the event's kind and timing."""
-        if self.kind not in ("member-death", "region-stuck", "port-flaky"):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError("fault instant cannot be negative")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("fault duration must be positive")
+        """Validate every field, so a malformed event is refused before
+        the recovery moves any state: a known kind, a finite instant
+        >= 0, integer targets >= 0 (a stuck-at shape >= 1), a finite
+        ``duration`` > 0 or ``None``, and a finite retry cost >= 0."""
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {self.kind!r} "
+                             f"(choose from {', '.join(FAULT_KINDS)})")
+        _require("instant", self.at, 0)
+        for name in ("member", "row", "col", "retries"):
+            _require(name, getattr(self, name), 0, integral=True)
+        shape_min = 1 if self.kind == "region-stuck" else 0
+        _require("height", self.height, shape_min, integral=True)
+        _require("width", self.width, shape_min, integral=True)
+        _require("backoff", self.backoff, 0)
+        if self.duration is not None:
+            _require("duration", self.duration, 0)
+            if self.duration == 0:
+                raise ValueError("fault duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,34 +100,19 @@ class FaultPlan:
         return len(self.events)
 
     def install(self, scheduler) -> None:
-        """Schedule every event on ``scheduler``'s event queue.
+        """Schedule every event on ``scheduler``'s event queue, each to
+        be carried out by its kernel's fault recovery.
 
         ``scheduler`` is an
         :class:`~repro.sched.scheduler.OnlineTaskScheduler` (duck
-        typed: anything exposing ``events`` plus the three fault
-        methods works).  Events strictly in the past are refused by the
-        queue itself; install before the run (t = 0) or at the current
-        instant of a live service.
+        typed: anything exposing ``events`` and a ``kernel`` with
+        ``faults`` works).  Events strictly in the past are refused by
+        the queue itself; install before the run (t = 0) or at the
+        current instant of a live service.
         """
+        recovery = scheduler.kernel.faults
         for event in self.events:
-            scheduler.events.at(
-                event.at, lambda e=event: apply_event(scheduler, e)
-            )
-
-
-def apply_event(scheduler, event: FaultEvent) -> None:
-    """Carry one :class:`FaultEvent` out on ``scheduler``."""
-    if event.kind == "member-death":
-        scheduler.kill_member(event.member)
-    elif event.kind == "region-stuck":
-        scheduler.inject_region_fault(
-            event.member, event.row, event.col, event.height, event.width,
-            duration=event.duration,
-        )
-    else:
-        scheduler.flake_port(
-            event.member, retries=event.retries, backoff=event.backoff
-        )
+            scheduler.events.at(event.at, lambda e=event: recovery.apply(e))
 
 
 def _none_plan(device, fleet_size: int, seed: int) -> FaultPlan:

@@ -109,7 +109,7 @@ class FleetManager:
 
         From this instant the member receives no placements, warms no
         caches and contributes nothing to fleet telemetry.  The caller
-        (the scheduler's failover path) is responsible for displacing
+        (:mod:`repro.faults.recovery`) is responsible for displacing
         the residents it was hosting — their owner-routing entries stay
         valid until each is individually released.  Idempotent.
         """

@@ -36,7 +36,7 @@ so single-device runs reproduce the golden snapshots unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 from repro.core.manager import (
     DefragOutcome,
@@ -44,6 +44,7 @@ from repro.core.manager import (
     PlacementOutcome,
 )
 from repro.device.geometry import Rect
+from repro.faults.recovery import FaultRecovery
 from repro.fleet.manager import FleetManager
 from repro.perf import PERF
 
@@ -191,6 +192,17 @@ class Admissible(Protocol):
     task_id: int
 
 
+@dataclass(slots=True)
+class Running:
+    """One executing owner: its work item (kept at its current
+    ``rect`` and charged its ``halted_seconds``), the finish action and
+    the pending finish event."""
+
+    item: Any
+    on_finish: Callable[[], None]
+    handle: EventHandle
+
+
 class SchedulingKernel:
     """Event queue + port + HALT arithmetic + defrag hook + sampling.
 
@@ -204,8 +216,9 @@ class SchedulingKernel:
       (the task layer re-drains its queue, the application layer
       retries stalled apps).
 
-    The optional ``halt_listener(owner, seconds)`` observes HALT-policy
-    stops so the task layer can attribute them to task records.
+    The optional ``on_recovered(item, fate, outcome)`` takes the
+    work-specific step after fault recovery (:attr:`faults`) settled a
+    displaced item's fate: ``relocated``, ``restarted`` or ``dropped``.
     """
 
     def __init__(
@@ -216,9 +229,10 @@ class SchedulingKernel:
         on_admitted: Callable[[Admissible, PlacementOutcome], None]
         | None = None,
         on_space_reclaimed: Callable[[], None] | None = None,
-        halt_listener: Callable[[int, float], None] | None = None,
         sample_on_defrag: bool = True,
         prefetch: str = "never",
+        on_recovered: Callable[[Any, str, PlacementOutcome], None]
+        | None = None,
     ) -> None:
         if not isinstance(manager, FleetManager):
             manager = FleetManager([manager])
@@ -259,16 +273,16 @@ class SchedulingKernel:
         self.metrics = ScheduleMetrics()
         self.on_admitted = on_admitted
         self.on_space_reclaimed = on_space_reclaimed
-        self.halt_listener = halt_listener
+        self.on_recovered = on_recovered
+        #: the fault machinery (see :mod:`repro.faults.recovery`).
+        self.faults = FaultRecovery(self)
         #: whether a proactive consolidation records a telemetry sample
         #: (the task scheduler samples, the application scheduler never
         #: sampled — preserved for metric compatibility).
         self.sample_on_defrag = sample_on_defrag
-        #: owner -> (finish action, finish handle) of executing work,
-        #: so HALT-policy moves can push finish events out.
-        self.running: dict[
-            int, tuple[Callable[[], None], EventHandle]
-        ] = {}
+        #: owner -> executing work, so moves can follow its item and
+        #: HALT-policy stops can push its finish event out.
+        self.running: dict[int, Running] = {}
         #: the admission failure record: each shape that failed to place
         #: against the current occupancy, mapped to its dominance
         #: certificate (``PlacementOutcome.dominant``).
@@ -519,7 +533,7 @@ class SchedulingKernel:
         if outcome.moves:
             self.metrics.rearrangements += 1
             self.metrics.moves += len(outcome.moves)
-            self.apply_halts(outcome)
+            self.apply_moves(outcome)
         config = outcome.config_seconds
         cache = (self.caches[outcome.device]
                  if self.caches is not None and key is not None else None)
@@ -701,7 +715,7 @@ class SchedulingKernel:
         A member's resident-bitstream cache lives in its configuration
         memory — when the device dies the residents die with it, so the
         cache is emptied and every wishlist offer pinned to that device
-        is withdrawn.  Called by the failover machinery right after the
+        is withdrawn.  Called by fault recovery right after the
         member joins the fleet's ``lost`` set; a no-op in ``never``
         mode.
         """
@@ -713,35 +727,47 @@ class SchedulingKernel:
         }
 
     def start_running(self, owner: int, finish_time: float,
-                      on_finish: Callable[[], None]) -> None:
-        """Register ``owner`` as executing until ``finish_time``."""
+                      on_finish: Callable[[], None], item: Any) -> None:
+        """Register ``owner`` as executing ``item`` (anything with a
+        ``rect`` and ``halted_seconds``) until ``finish_time``."""
         handle = self.events.at(finish_time, on_finish)
-        self.running[owner] = (on_finish, handle)
+        self.running[owner] = Running(item, on_finish, handle)
 
     def finish_running(self, owner: int) -> None:
         """Drop ``owner`` from the running set (finish event fired)."""
         self.running.pop(owner, None)
 
-    def apply_halts(self, outcome: PlacementOutcome | DefragOutcome) -> None:
-        """Under the HALT policy, extend each moved running item's
-        finish time by its stopped interval — the cost the paper's
-        concurrent relocation eliminates."""
+    def stop_running(self, owner: int) -> Running | None:
+        """Stop ``owner`` before its finish (a cancel, or a fault
+        displacing it): its finish event is cancelled and its region
+        released.  Returns its entry, or ``None`` when it was not
+        running."""
+        entry = self.running.pop(owner, None)
+        if entry is not None:
+            entry.handle.cancel()
+            self.manager.release(owner)
+        return entry
+
+    def apply_moves(self, outcome: PlacementOutcome | DefragOutcome) -> None:
+        """Follow each executed move on the running item it moved: the
+        item's ``rect`` becomes the move's target, and under the HALT
+        policy the item is charged its stopped interval and its finish
+        time extended by it — the cost the paper's concurrent
+        relocation eliminates."""
         for execution in outcome.moves:
-            if not execution.halted:
-                continue
-            owner = execution.move.owner
-            entry = self.running.get(owner)
+            entry = self.running.get(execution.move.owner)
             if entry is None:
                 continue
-            on_finish, handle = entry
+            entry.item.rect = execution.move.dst
+            if not execution.halted:
+                continue
             self.metrics.halted_seconds += execution.seconds
-            if self.halt_listener is not None:
-                self.halt_listener(owner, execution.seconds)
-            new_handle = self.events.at(
-                handle.time + execution.seconds, on_finish
+            entry.item.halted_seconds += execution.seconds
+            handle = entry.handle
+            entry.handle = self.events.at(
+                handle.time + execution.seconds, entry.on_finish
             )
             handle.cancel()
-            self.running[owner] = (on_finish, new_handle)
 
     # -- proactive defrag + telemetry ---------------------------------------
 
@@ -774,7 +800,7 @@ class SchedulingKernel:
             self.metrics.proactive_defrags += 1
             self.metrics.defrag_moves += len(outcome.moves)
             self.metrics.defrag_port_seconds += outcome.port_seconds
-            self.apply_halts(outcome)
+            self.apply_moves(outcome)
             port.acquire(move_seconds=outcome.port_seconds)
             fired = outcome
         if fired is None:

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.manager import PlacementOutcome
-from repro.device.geometry import Rect
 
 from .kernel import ScheduleMetrics, SchedulingKernel
 from .ports import PortModel
@@ -51,17 +50,10 @@ from .tasks import (
 
 __all__ = [
     "ApplicationFlowScheduler",
-    "FAULT_OWNER_BASE",
     "OnlineTaskScheduler",
     "ScheduleMetrics",
     "summarize_application_runs",
 ]
-
-#: owner ids claimed by stuck-at fault blockers (see
-#: :meth:`OnlineTaskScheduler.inject_region_fault`).  Far above any
-#: task id or application owner sequence, still comfortably inside the
-#: fabric's int32 occupancy range.
-FAULT_OWNER_BASE = 1_000_000_000
 
 
 def _function_key(spec) -> str:
@@ -166,11 +158,9 @@ class OnlineTaskScheduler:
             ports=ports,
             prefetch=prefetch_mode,
             on_admitted=self._on_admitted,
-            halt_listener=self._on_halt,
+            on_recovered=self._on_recovered,
         )
         self.manager = self.kernel.manager
-        #: task_id -> running Task, for HALT-stop attribution.
-        self._running_tasks: dict[int, Task] = {}
         #: task_id -> queueing epoch, bumped every time the task enters
         #: the waiting queue.  A task's patience timeout captures the
         #: epoch it was armed for; fault recovery can re-queue a task
@@ -185,13 +175,6 @@ class OnlineTaskScheduler:
         #: fault instant, not at arrival, so checkpoints must carry the
         #: true deadline to restore it bit-identically.
         self._queue_deadlines: dict[int, float] = {}
-        #: active stuck-at regions: fault id -> blocker record (device,
-        #: injected rect, the (owner, rect) blockers actually allocated,
-        #: heal instant).  Checkpoints carry it (see
-        #: :meth:`export_fault_state`).
-        self._fault_regions: dict[int, dict] = {}
-        self._fault_seq = 0
-        self._fault_owner_seq = 0
 
     @property
     def events(self):
@@ -211,7 +194,8 @@ class OnlineTaskScheduler:
     def run(self, tasks: list[Task]) -> ScheduleMetrics:
         """Simulate the whole stream; returns the aggregated metrics."""
         for task in tasks:
-            self.events.at(task.arrival, lambda t=task: self._on_arrival(t))
+            self.events.at(task.arrival,
+                           lambda t=task: self._enqueue_task(t))
         self.kernel.run()
         return self.metrics
 
@@ -219,7 +203,7 @@ class OnlineTaskScheduler:
 
     def _enqueue_task(self, task: Task) -> None:
         """Put ``task`` in the waiting queue with a fresh patience
-        window (shared by first arrival and fault-recovery restart)."""
+        window (on arrival, and again on a fault-recovery restart)."""
         task.state = TaskState.QUEUED
         epoch = self._queue_epochs.get(task.task_id, 0) + 1
         self._queue_epochs[task.task_id] = epoch
@@ -230,9 +214,6 @@ class OnlineTaskScheduler:
                 task.max_wait, lambda: self._on_timeout(task, epoch)
             )
         self.kernel.enqueue(task, priority=task.priority, area=task.area)
-
-    def _on_arrival(self, task: Task) -> None:
-        self._enqueue_task(task)
 
     def _on_timeout(self, task: Task, epoch: int | None = None) -> None:
         """The task's patience ran out while still queued: reject it.
@@ -269,24 +250,16 @@ class OnlineTaskScheduler:
         task.state = TaskState.CONFIGURING
         task.configured_at = config_done
         task.started_at = config_done
-        finish_time = config_done + task.exec_seconds
-        self._running_tasks[task.task_id] = task
         self.kernel.start_running(
-            task.task_id, finish_time, lambda t=task: self._on_finish(t)
+            task.task_id, config_done + task.exec_seconds,
+            lambda: self._on_finish(task), task,
         )
         self.kernel.sample()
-
-    def _on_halt(self, owner: int, seconds: float) -> None:
-        """Attribute a HALT-policy stop to the moved task's record."""
-        task = self._running_tasks.get(owner)
-        if task is not None:
-            task.halted_seconds += seconds
 
     def _on_finish(self, task: Task) -> None:
         task.state = TaskState.FINISHED
         task.finished_at = self.events.now
         self.kernel.finish_running(task.task_id)
-        self._running_tasks.pop(task.task_id, None)
         self._queue_epochs.pop(task.task_id, None)
         self._queue_deadlines.pop(task.task_id, None)
         self.manager.release(task.task_id)
@@ -300,331 +273,20 @@ class OnlineTaskScheduler:
         self.kernel.drain()
         self.kernel.maybe_defrag()
 
-    # -- fault injection + failover (see repro.faults) ----------------------
-
-    def _on_relocated(self, task: Task, outcome: PlacementOutcome) -> None:
-        """Hook: ``task`` survived a fault by moving to a new region
-        (subclasses journal it; the base scheduler needs no extra
-        bookkeeping — the metrics were already counted)."""
-
-    def _on_restarted(self, task: Task) -> None:
-        """Hook: ``task`` lost its progress to a fault and was
-        re-queued from scratch."""
-
-    def _on_dropped(self, task: Task) -> None:
-        """Hook: ``task`` was lost to a fault and no surviving member
-        could ever host its footprint."""
-
-    def _fits_any_survivor(self, height: int, width: int) -> bool:
-        """Whether some surviving fabric could *ever* host the shape
-        (pure bounds check — current occupancy is irrelevant: space
-        frees up, dead silicon does not)."""
-        for index, manager in enumerate(self.manager.members):
-            if index in self.manager.lost:
-                continue
-            device = manager.fabric.device
-            if height <= device.clb_rows and width <= device.clb_cols:
-                return True
-        return False
-
-    def _displace(self, owner: int) -> tuple[Task, object, float] | None:
-        """Tear a running task off its (failed) region.
-
-        Cancels the pending finish event, frees the region through the
-        normal release path (keeping fleet owner-routing and load
-        counters consistent — on a dead member the fabric state is
-        moot, the bookkeeping is not) and returns the material the
-        recovery step needs: the task, its finish action and the
-        seconds of work it had not yet delivered.
-        """
-        entry = self.kernel.running.pop(owner, None)
-        if entry is None:
-            return None
-        task = self._running_tasks[owner]
-        on_finish, handle = entry
-        remaining = max(0.0, handle.time - self.events.now)
-        handle.cancel()
-        self.manager.release(owner)
-        return task, on_finish, remaining
-
-    def _recover(self, task: Task, on_finish, remaining: float,
-                 fault_now: float, summary: dict) -> None:
-        """Decide a displaced task's fate: relocate, restart or drop.
-
-        The relocation path is the paper's own mechanism — the same
-        ``manager.request`` that admits new work finds the task a new
-        region (on a fleet, only surviving members are consulted), and
-        the configuration is re-charged to the accepting device's port:
-        the bitstream must be rewritten there, so the time the old port
-        already sank is not refunded.  If no region is available right
-        now but some surviving fabric is large enough, the task is
-        *restarted*: re-queued from scratch with a fresh patience
-        window (its progress is lost — partial results died with the
-        region).  Only a footprint no surviving member could ever host
-        is *dropped*.
-        """
-        kernel = self.kernel
-        outcome = self.manager.request(task.height, task.width,
-                                       task.task_id)
-        if outcome.success:
-            config_done = kernel.charge_placement(
-                outcome, key=task.prefetch_key
-            )
-            task.rect = outcome.rect
-            task.configured_at = config_done
-            kernel.metrics.relocated_tasks += 1
-            kernel.metrics.recovery_seconds += max(
-                0.0, config_done - fault_now
-            )
-            kernel.start_running(task.task_id, config_done + remaining,
-                                 on_finish)
-            summary["relocated"].append(task.task_id)
-            self._on_relocated(task, outcome)
-            return
-        self._running_tasks.pop(task.task_id, None)
-        if self._fits_any_survivor(task.height, task.width):
-            task.rect = None
-            task.configured_at = None
-            task.started_at = None
-            kernel.metrics.restarted_tasks += 1
-            summary["restarted"].append(task.task_id)
+    def _on_recovered(self, task: Task, fate: str,
+                      outcome: PlacementOutcome) -> None:
+        """Fault recovery (:mod:`repro.faults.recovery`) settled a
+        displaced task's fate.  A ``restarted`` task re-enters the
+        waiting queue with a fresh patience window and a ``dropped`` one
+        becomes terminal; a ``relocated`` task needs nothing more here.
+        ``outcome`` is the recovery's placement attempt (successful only
+        for a relocation)."""
+        if fate == "restarted":
             self._enqueue_task(task)
-            self._on_restarted(task)
-            return
-        task.state = TaskState.DROPPED
-        self._queue_epochs.pop(task.task_id, None)
-        self._queue_deadlines.pop(task.task_id, None)
-        kernel.metrics.dropped_tasks += 1
-        summary["dropped"].append(task.task_id)
-        self._on_dropped(task)
-
-    def kill_member(self, index: int) -> dict:
-        """Declare fleet member ``index`` dead and fail its work over.
-
-        The member is marked lost once, in the fleet's ``lost`` set
-        (fleet routing and the kernel's telemetry, defrag and prefetch
-        all read it), its resident-bitstream cache is dropped, and
-        every task it was running is displaced and recovered through
-        :meth:`_recover` in task-id order.  Returns a summary dict with
-        the ``relocated`` / ``restarted`` / ``dropped`` task ids.
-        Idempotent: killing a dead member is a no-op.  A single device
-        has no survivor to fail over to, so a 1-member fleet refuses.
-        """
-        kernel = self.kernel
-        fleet = self.manager
-        if len(fleet) == 1:
-            raise ValueError("member death requires a fleet manager")
-        if not 0 <= index < len(fleet):
-            raise ValueError(f"no fleet member {index}")
-        summary = {"member": index, "relocated": [], "restarted": [],
-                   "dropped": []}
-        if index in fleet.lost:
-            return summary
-        now = self.events.now
-        kernel.metrics.faults_injected += 1
-        kernel.metrics.members_lost += 1
-        fleet.mark_lost(index)
-        kernel.forget_member(index)
-        displaced = []
-        for owner in fleet.residents_of(index):
-            if owner not in kernel.running:
-                continue  # stuck-at blockers die with the fabric
-            material = self._displace(owner)
-            if material is not None:
-                displaced.append(material)
-        for task, on_finish, remaining in displaced:
-            self._recover(task, on_finish, remaining, now, summary)
-        kernel.sample()
-        kernel.drain()
-        return summary
-
-    def _next_fault_owner(self) -> int:
-        self._fault_owner_seq += 1
-        return FAULT_OWNER_BASE + self._fault_owner_seq
-
-    def _block_region(self, device: int, rect: Rect) -> list[tuple]:
-        """Claim every currently-free site of ``rect`` for fault
-        blockers (one owner per maximal free run per row, so each
-        blocker's footprint stays rectangular).  Returns the
-        ``(owner, rect)`` blockers allocated."""
-        fabric = self.manager.members[device].fabric
-        blockers: list[tuple] = []
-        if fabric.region_is_free(rect):
-            runs = [rect]
-        else:
-            runs = []
-            occupancy = fabric.occupancy
-            for row in range(rect.row, rect.row_end):
-                col = rect.col
-                while col < rect.col_end:
-                    if occupancy[row, col] == 0:
-                        end = col
-                        while end < rect.col_end \
-                                and occupancy[row, end] == 0:
-                            end += 1
-                        runs.append(Rect(row, col, 1, end - col))
-                        col = end
-                    else:
-                        col += 1
-        for run in runs:
-            owner = self._next_fault_owner()
-            self.manager.adopt(owner, device, run)
-            blockers.append((owner, run))
-        return blockers
-
-    def inject_region_fault(self, device: int, row: int, col: int,
-                            height: int, width: int,
-                            duration: float | None = None) -> dict:
-        """Stuck-at outbreak: ``height`` x ``width`` sites at
-        (``row``, ``col``) on member ``device`` go bad.
-
-        Running tasks overlapping the region are displaced and
-        recovered exactly like member-death victims (they may relocate
-        onto the *same* member, just away from the bad silicon); the
-        region's free sites are then claimed by blocker owners so no
-        future placement lands there.  With a ``duration`` the region
-        heals after it (transient outbreak); ``None`` is permanent.
-        Returns the recovery summary dict (plus the ``fault`` id).
-        """
-        kernel = self.kernel
-        if not 0 <= device < len(self.manager):
-            raise ValueError(f"no device {device}")
-        fabric = self.manager.members[device].fabric
-        rect = Rect(row, col, height, width)
-        if not fabric.in_bounds(rect):
-            raise ValueError(f"region {rect} out of bounds on "
-                             f"device {device}")
-        now = self.events.now
-        kernel.metrics.faults_injected += 1
-        summary: dict = {"device": device, "relocated": [],
-                         "restarted": [], "dropped": []}
-        if device in self.manager.lost:
-            summary["fault"] = None
-            return summary  # the whole fabric is already gone
-        displaced = []
-        for owner in sorted(kernel.running):
-            task = self._running_tasks.get(owner)
-            if task is None or task.rect is None:
-                continue
-            if self.manager.device_of(owner) != device:
-                continue
-            if not task.rect.overlaps(rect):
-                continue
-            material = self._displace(owner)
-            if material is not None:
-                displaced.append(material)
-        blockers = self._block_region(device, rect)
-        self._fault_seq += 1
-        fault_id = self._fault_seq
-        record = {
-            "device": device,
-            "rect": (row, col, height, width),
-            "owners": blockers,
-            "heal_at": (now + duration) if duration is not None else None,
-        }
-        self._fault_regions[fault_id] = record
-        if record["heal_at"] is not None:
-            self.events.at(record["heal_at"],
-                           lambda: self._heal_region(fault_id))
-        for task, on_finish, remaining in displaced:
-            self._recover(task, on_finish, remaining, now, summary)
-        kernel.sample()
-        kernel.drain()
-        summary["fault"] = fault_id
-        return summary
-
-    def _heal_region(self, fault_id: int) -> None:
-        """A transient outbreak's duration elapsed: free its blockers
-        and wake waiting work (the healed sites may fit it)."""
-        record = self._fault_regions.pop(fault_id, None)
-        if record is None:
-            return
-        for owner, _rect in record["owners"]:
-            self.manager.release(owner)
-        self.kernel.sample()
-        self.kernel.drain()
-
-    def flake_port(self, device: int, retries: int = 3,
-                   backoff: float = 0.2) -> float:
-        """Transient configuration-port failure on member ``device``.
-
-        Models a config-channel brown-out recovered by retrying: the
-        port is occupied for ``retries`` x ``backoff`` seconds, so
-        configuration traffic already queued (and any placement that
-        follows) is pushed out by exactly that much.  Returns the
-        seconds charged.
-        """
-        kernel = self.kernel
-        if not 0 <= device < len(kernel.ports):
-            raise ValueError(f"no device {device}")
-        if retries < 0 or backoff < 0:
-            raise ValueError("retries and backoff cannot be negative")
-        kernel.metrics.faults_injected += 1
-        if device in self.manager.lost:
-            return 0.0
-        seconds = retries * backoff
-        kernel.ports[device].acquire(move_seconds=seconds)
-        kernel.metrics.port_retry_seconds += seconds
-        return seconds
-
-    def export_fault_state(self) -> dict | None:
-        """Serializable fault state for service checkpoints: lost
-        members, active stuck-at regions (with their blocker owners and
-        heal instants) and the blocker-owner sequence.  ``None`` when
-        no fault was ever injected, so fault-free snapshots keep their
-        historical shape."""
-        if not (self.manager.lost or self._fault_regions
-                or self._fault_owner_seq or self._fault_seq):
-            return None
-        return {
-            "lost_members": sorted(self.manager.lost),
-            "owner_seq": self._fault_owner_seq,
-            "fault_seq": self._fault_seq,
-            "regions": [
-                {
-                    "id": fault_id,
-                    "device": record["device"],
-                    "rect": list(record["rect"]),
-                    "owners": [
-                        [owner, [r.row, r.col, r.height, r.width]]
-                        for owner, r in record["owners"]
-                    ],
-                    "heal_at": record["heal_at"],
-                }
-                for fault_id, record in sorted(self._fault_regions.items())
-            ],
-        }
-
-    def restore_fault_state(self, state: dict | None) -> None:
-        """Re-apply exported fault state on a freshly built scheduler
-        (checkpoint restore): lost members are re-marked, blocker
-        regions re-allocated and pending heal events re-scheduled.
-        No-op for ``None``."""
-        if state is None:
-            return
-        for index in state["lost_members"]:
-            self.manager.mark_lost(int(index))
-        self._fault_owner_seq = int(state["owner_seq"])
-        self._fault_seq = int(state.get("fault_seq", 0))
-        for row in state["regions"]:
-            device = int(row["device"])
-            blockers = []
-            for owner, (r, c, h, w) in row["owners"]:
-                rect = Rect(int(r), int(c), int(h), int(w))
-                self.manager.adopt(int(owner), device, rect)
-                blockers.append((int(owner), rect))
-            heal_at = (float(row["heal_at"])
-                       if row["heal_at"] is not None else None)
-            fault_id = int(row["id"])
-            self._fault_regions[fault_id] = {
-                "device": device,
-                "rect": tuple(int(v) for v in row["rect"]),
-                "owners": blockers,
-                "heal_at": heal_at,
-            }
-            if heal_at is not None:
-                self.events.at(heal_at,
-                               lambda f=fault_id: self._heal_region(f))
+        elif fate == "dropped":
+            task.state = TaskState.DROPPED
+            self._queue_epochs.pop(task.task_id, None)
+            self._queue_deadlines.pop(task.task_id, None)
 
 
 class ApplicationFlowScheduler:
@@ -746,6 +408,7 @@ class ApplicationFlowScheduler:
             state.owners[index],
             self.events.now + spec.exec_seconds,
             lambda: self._finish_function(state, index),
+            run,
         )
         # Prefetch the successor during the reconfiguration interval rt.
         if self.prefetch and index + 1 < len(state.record.spec.functions):

@@ -160,6 +160,8 @@ class FunctionRun:
     config_seconds: float = 0.0
     started_at: float | None = None
     finished_at: float | None = None
+    #: seconds the function was stopped by HALT-policy moves.
+    halted_seconds: float = 0.0
 
     @property
     def prefetched(self) -> bool:

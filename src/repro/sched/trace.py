@@ -17,8 +17,9 @@ One line per arrival, JSON object, in arrival order::
 time, ``max_wait`` the queueing patience (``null`` = infinite), and
 ``qos`` one of ``gold`` / ``silver`` / ``best-effort``, mapped onto
 the priority classes the ``priority`` queue discipline reads.  The
-mapping mirrors :mod:`repro.service.qos` (kept numerically in sync by
-``tests/test_trace.py`` without importing the service layer here).
+mapping is the one table both layers use: the service's QoS classes
+(:mod:`repro.service.qos`) take their priorities from
+:data:`QOS_PRIORITY`.
 
 The generators in this module produce *shaped* arrival processes the
 memoryless synthetic streams cannot express: a diurnal rate curve, a
@@ -35,7 +36,7 @@ from typing import Iterable
 
 from .tasks import Task
 
-#: QoS class -> priority (mirrors ``repro.service.qos.QOS_CLASSES``).
+#: QoS class -> priority (the service's QoS classes read it too).
 QOS_PRIORITY = {"best-effort": 0, "silver": 1, "gold": 2}
 
 

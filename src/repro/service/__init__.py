@@ -33,7 +33,7 @@ from .admission import AdmissionController, AdmissionDecision, TokenBucket
 from .api import ServiceAPI
 from .app import ReproService, ServiceConfig, ServiceEngine
 from .checkpoint import load, restore, save, snapshot
-from .qos import QOS_CLASSES, QOS_NAMES, QosClass, get_qos, qos_for_priority
+from .qos import QOS_CLASSES, QOS_NAMES, QosClass, get_qos
 
 __all__ = [
     "AdmissionController",
@@ -48,7 +48,6 @@ __all__ = [
     "TokenBucket",
     "get_qos",
     "load",
-    "qos_for_priority",
     "restore",
     "save",
     "snapshot",

@@ -116,15 +116,15 @@ def _number(body: dict, name: str, kind: type = float, default=None):
     return kind(value)
 
 
-def _count(query: dict, name: str) -> int | None:
-    """Query parameter ``name`` as a count: ``None`` when absent, and a
-    400 unless it is a decimal integer >= 0."""
-    raw = query.get(name)
+def _decimal(raw: str | None, what: str) -> int | None:
+    """``raw`` as a decimal integer >= 0 (``None`` when absent): ASCII
+    digits only, so a sign, an underscore, whitespace or a non-ASCII
+    digit is a 400 naming ``what``."""
     if raw is None:
         return None
     if not (raw.isascii() and raw.isdigit()):
-        raise _HttpError(400, f"query parameter {name!r} must be an "
-                              f"integer >= 0, got {raw!r}")
+        raise _HttpError(400, f"{what} must be an integer >= 0, "
+                              f"got {raw!r}")
     return int(raw)
 
 
@@ -225,14 +225,7 @@ class ServiceAPI:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    raise _HttpError(
-                        400, "Content-Length is not an integer"
-                    ) from None
-                if length < 0:
-                    raise _HttpError(400, "Content-Length is negative")
+                length = _decimal(value.strip(), "Content-Length")
                 if length > MAX_BODY_BYTES:
                     raise _HttpError(
                         413, f"request body over {MAX_BODY_BYTES} bytes"
@@ -288,8 +281,10 @@ class ServiceAPI:
             return self._submit(body)
         if path == "/tasks" and method == "GET":
             return 200, {
-                "tasks": service.tasks(state=query.get("state"),
-                                       limit=_count(query, "limit"))
+                "tasks": service.tasks(
+                    state=query.get("state"),
+                    limit=_decimal(query.get("limit"),
+                                   "query parameter 'limit'"))
             }, {}
         if path.startswith("/tasks/"):
             return self._task_detail(method, path)
@@ -362,10 +357,7 @@ class ServiceAPI:
 
     def _task_detail(self, method: str, path: str) -> tuple[int, dict, dict]:
         """GET/DELETE /tasks/{id}."""
-        try:
-            task_id = int(path.rsplit("/", 1)[1])
-        except ValueError:
-            raise _HttpError(400, "task id must be an integer") from None
+        task_id = _decimal(path.rsplit("/", 1)[1], "task id")
         try:
             if method == "GET":
                 return 200, self.service.status(task_id), {}
@@ -390,7 +382,8 @@ class ServiceAPI:
         bound); ``history=0`` skips the backlog.  The subscription is
         dropped when the client disconnects or the limit is reached.
         """
-        limit = _count(query, "limit") or None
+        limit = _decimal(query.get("limit"),
+                         "query parameter 'limit'") or None
         engine = self.service.engine
         backlog = (list(engine.telemetry)
                    if query.get("history", "1") != "0" else [])

@@ -45,6 +45,7 @@ from repro.core.manager import (
 )
 from repro.device.devices import device as device_by_name
 from repro.device.fabric import Fabric
+from repro.faults import FaultEvent
 from repro.fleet.manager import FleetManager
 from repro.perf import PERF
 from repro.sched.scheduler import OnlineTaskScheduler
@@ -215,7 +216,7 @@ class ServiceEngine(OnlineTaskScheduler):
         self._next_task_id += 1
         self.tasks[task.task_id] = task
         self._journal("submitted", task)
-        self._on_arrival(task)
+        self._enqueue_task(task)
         return task
 
     def advance(self, until: float) -> None:
@@ -251,13 +252,7 @@ class ServiceEngine(OnlineTaskScheduler):
             self._journal("cancelled", task)
             self.kernel.cancel(task)
             return task
-        if task_id in self._running_tasks:
-            entry = self.kernel.running.get(task_id)
-            if entry is not None:
-                entry[1].cancel()
-            self.kernel.finish_running(task_id)
-            self._running_tasks.pop(task_id, None)
-            self.manager.release(task_id)
+        if self.kernel.stop_running(task_id) is not None:
             task.state = TaskState.CANCELLED
             self._journal("cancelled", task)
             self.kernel.sample()
@@ -287,7 +282,7 @@ class ServiceEngine(OnlineTaskScheduler):
         entry = {
             "t": self.now,
             "waiting": len(self.kernel.queue),
-            "running": len(self._running_tasks),
+            "running": len(self.kernel.running),
             "fragmentation": (metrics.fragmentation_samples[-1]
                               if metrics.fragmentation_samples else 0.0),
             "utilization": (metrics.utilization_samples[-1]
@@ -321,25 +316,18 @@ class ServiceEngine(OnlineTaskScheduler):
         if was_queued and task.state is TaskState.REJECTED:
             self._journal("rejected", task)
 
-    def _on_relocated(self, task: Task,
+    def _on_recovered(self, task: Task, fate: str,
                       outcome: PlacementOutcome) -> None:
-        """Journal a fault-driven relocation and re-point the task's
-        hosting device at the surviving member."""
-        self.devices[task.task_id] = outcome.device
-        self._journal("relocated", task)
-        self._record_telemetry()
-
-    def _on_restarted(self, task: Task) -> None:
-        """Journal a fault-driven restart (the task re-queued from
-        scratch; its old hosting device is gone)."""
-        self.devices.pop(task.task_id, None)
-        self._journal("restarted", task)
-        self._record_telemetry()
-
-    def _on_dropped(self, task: Task) -> None:
-        """Journal a fault drop (no surviving fabric fits the task)."""
-        self.devices.pop(task.task_id, None)
-        self._journal("dropped", task)
+        """Journal a fault recovery under its fate (``relocated``,
+        ``restarted`` or ``dropped``) on top of the batch bookkeeping:
+        a relocated task's hosting device becomes the accepting member,
+        the others lose theirs."""
+        super()._on_recovered(task, fate, outcome)
+        if fate == "relocated":
+            self.devices[task.task_id] = outcome.device
+        else:
+            self.devices.pop(task.task_id, None)
+        self._journal(fate, task)
         self._record_telemetry()
 
 
@@ -445,50 +433,45 @@ class ReproService:
         self.engine.cancel(task_id)
         return self.status(task_id)
 
-    def inject_fault(self, kind: str, *, member: int = 0, row: int = 0,
-                     col: int = 0, height: int = 0, width: int = 0,
-                     duration: float | None = None, retries: int = 3,
-                     backoff: float = 0.2) -> dict:
+    def inject_fault(self, kind: str, **fields) -> dict:
         """Inject one fault into the live service (chaos endpoint).
 
-        ``kind`` selects the fault machinery the batch fault plans use
-        (:mod:`repro.faults`): ``member-death`` fails ``member`` over
-        onto the survivors, ``region-stuck`` blocks a fabric region
-        (healing after ``duration`` if given), ``port-flaky`` costs
-        ``retries * backoff`` seconds of configuration-port retries.
-        Returns a summary of what the fault displaced; raises
-        :class:`ValueError` on unknown kinds, bad targets, or a
-        member-death without a fleet.
+        ``kind`` and ``fields`` (``member``, ``row``, ``col``,
+        ``height``, ``width``, ``duration``, ``retries``, ``backoff``)
+        build a :class:`~repro.faults.plan.FaultEvent` at the current
+        instant, which the kernel's fault recovery carries out exactly
+        as it does a batch fault plan's: ``member-death`` fails
+        ``member`` over onto the survivors, ``region-stuck`` blocks a
+        fabric region (healing after ``duration`` if given),
+        ``port-flaky`` costs ``retries * backoff`` seconds of
+        configuration-port retries.  Returns a summary of what the
+        fault displaced.  An unknown kind, a malformed field (a
+        ``duration`` of 0 or below included), a target outside the
+        fleet or its fabric, or a member-death without a fleet raises
+        :class:`ValueError` before any state moves.
         """
-        if kind == "member-death":
-            summary = self.engine.kill_member(member)
-        elif kind == "region-stuck":
-            summary = self.engine.inject_region_fault(
-                member, row, col, height, width, duration=duration
-            )
-        elif kind == "port-flaky":
-            summary = {
-                "member": member,
-                "retry_seconds": self.engine.flake_port(
-                    member, retries=retries, backoff=backoff
-                ),
-            }
-        else:
-            raise ValueError(
-                f"unknown fault kind {kind!r} (choose from "
-                "member-death, region-stuck, port-flaky)"
-            )
+        event = FaultEvent(at=self.now, kind=kind, **fields)
+        summary = self.engine.kernel.faults.apply(event)
         return {"kind": kind, "now": self.now, **summary}
 
     # -- introspection -------------------------------------------------------
 
+    def _state(self, task: Task) -> TaskState:
+        """A task's state as its view reports it: a placed task is
+        ``configuring`` until its configuration completes at
+        ``started_at`` and ``running`` from then until it finishes; the
+        engine records only the placement, so the second state is
+        derived from the clock."""
+        if task.state is TaskState.CONFIGURING \
+                and self.now >= task.started_at:
+            return TaskState.RUNNING
+        return task.state
+
     def status(self, task_id: int) -> dict:
         """Status view of one task (:class:`KeyError` on unknown ids).
 
-        A placed task is ``configuring`` until its configuration
-        completes at ``started_at`` and ``running`` from then until it
-        finishes; the engine records only the placement, so the view
-        derives the second state from the clock.
+        ``rect`` is the task's current region: a rearrangement that
+        moves a running task moves its record too.
         """
         task = self.engine.tasks.get(task_id)
         if task is None:
@@ -496,12 +479,9 @@ class ReproService:
         tenant, qos = self.task_meta.get(task_id, ("default",
                                                    "best-effort"))
         rect = task.rect
-        state = task.state
-        if state is TaskState.CONFIGURING and self.now >= task.started_at:
-            state = TaskState.RUNNING
         return {
             "task": task.task_id,
-            "state": state.value,
+            "state": self._state(task).value,
             "tenant": tenant,
             "qos": qos,
             "height": task.height,
@@ -520,15 +500,19 @@ class ReproService:
 
     def tasks(self, state: str | None = None,
               limit: int | None = None) -> list[dict]:
-        """Status views of registered tasks, newest first."""
-        views = [
-            self.status(task_id)
-            for task_id in sorted(self.engine.tasks, reverse=True)
-        ]
-        if state is not None:
-            views = [v for v in views if v["state"] == state]
-        if limit is not None:
-            views = views[:limit]
+        """Status views of registered tasks, newest first.
+
+        Task ids enter the registry in ascending order (a restore
+        included), so walking it backwards lists newest first; a view
+        is built only for a task in ``state``, and the walk stops once
+        ``limit`` views are built.
+        """
+        views: list[dict] = []
+        for task in reversed(self.engine.tasks.values()):
+            if len(views) == limit:
+                break
+            if state is None or self._state(task).value == state:
+                views.append(self.status(task.task_id))
         return views
 
     def telemetry(self) -> dict:
@@ -539,7 +523,7 @@ class ReproService:
         return {
             "now": self.now,
             "waiting": len(self.engine.kernel.queue),
-            "running": len(self.engine._running_tasks),
+            "running": len(self.engine.kernel.running),
             "last_sample": latest,
         }
 
@@ -550,7 +534,7 @@ class ReproService:
             "now": self.now,
             "tasks": len(self.engine.tasks),
             "waiting": len(self.engine.kernel.queue),
-            "running": len(self.engine._running_tasks),
+            "running": len(self.engine.kernel.running),
             "finished": metrics.finished,
             "rejected": metrics.rejected,
             "mean_waiting": metrics.mean_waiting,

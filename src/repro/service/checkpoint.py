@@ -87,15 +87,14 @@ def snapshot(service: ReproService) -> dict:
     engine = service.engine
     kernel = engine.kernel
     running = []
-    for owner, (_, handle) in sorted(kernel.running.items()):
-        # The *current* region, read from the hosting fabric — a
-        # rearrangement may have relocated the task since placement, so
-        # the task record's placement-time rect cannot be trusted here.
-        device = engine.devices[owner]
-        rect = kernel.manager.members[device].fabric.footprint(owner)
+    for owner in sorted(kernel.running):
+        # The kernel moves a running task's rect with every
+        # rearrangement, so it is the task's current region.
+        entry = kernel.running[owner]
+        rect = entry.item.rect
         running.append({
             "task": owner,
-            "finish_at": handle.time,
+            "finish_at": entry.handle.time,
             "rect": [rect.row, rect.col, rect.height, rect.width],
         })
     return {
@@ -125,7 +124,7 @@ def snapshot(service: ReproService) -> dict:
         "prefetch": kernel.export_prefetch_state(),
         # Fault-injection state (None until a fault is injected): lost
         # members, active stuck-at blockers and their heal instants.
-        "faults": engine.export_fault_state(),
+        "faults": kernel.faults.export_state(),
         # True patience deadlines of the queued tasks: a fault-restarted
         # task's patience re-armed at the restart instant, so
         # arrival + max_wait would restore the wrong deadline.
@@ -197,18 +196,18 @@ def restore(state: dict) -> ReproService:
     # their finish events, ordered by (finish, id) — distinct instants
     # in practice, so event order matches the uninterrupted run (and a
     # tie would be harmless anyway: timeout/finish collisions on the
-    # same task are no-ops in whichever order they fire).  The region
-    # is the snapshot's *current* one, which differs from ``task.rect``
-    # (the placement-time record) when a rearrangement moved the task.
+    # same task are no-ops in whichever order they fire).  The running
+    # row holds the task's current region, so it sets ``task.rect``
+    # (an older build's task row may hold the placement-time one).
     for row in sorted(state["running"],
                       key=lambda r: (r["finish_at"], r["task"])):
         task = engine.tasks[row["task"]]
+        task.rect = Rect(*row["rect"])
         kernel.manager.adopt(task.task_id, engine.devices[task.task_id],
-                             Rect(*row["rect"]))
-        engine._running_tasks[task.task_id] = task
+                             task.rect)
         kernel.start_running(
             task.task_id, float(row["finish_at"]),
-            lambda t=task: engine._on_finish(t),
+            lambda t=task: engine._on_finish(t), task,
         )
 
     # Waiting queue: re-push in the discipline's own order (monotonic
@@ -245,7 +244,7 @@ def restore(state: dict) -> ReproService:
         member.defrag_policy._last_attempt = last
     kernel.metrics = ScheduleMetrics(**state["metrics"])
     kernel.restore_prefetch_state(state.get("prefetch"))
-    engine.restore_fault_state(state.get("faults"))
+    kernel.faults.restore_state(state.get("faults"))
     service.door = AdmissionController.from_state(state["door"])
 
     kernel.resume()

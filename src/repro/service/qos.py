@@ -9,7 +9,11 @@ layer already has:
 
 * the class **priority** feeds the ``priority`` queue discipline
   (:mod:`repro.sched.queues`), so a queued gold request is attempted
-  before silver and best-effort work whenever space frees up;
+  before silver and best-effort work whenever space frees up.  The
+  class-to-priority table is the trace format's
+  (:data:`repro.sched.trace.QOS_PRIORITY`, inverted by
+  :func:`~repro.sched.trace.qos_of_priority`), so a replayed trace keeps
+  its admission order;
 * the class **rate/burst** parameterise the per-tenant token buckets of
   the admission door (:mod:`repro.service.admission`), so a tenant's
   gold budget is narrower but firmer than its best-effort firehose;
@@ -25,6 +29,8 @@ batch campaigns and the service bit-compatible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.sched.trace import QOS_PRIORITY
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,13 @@ class QosClass:
 #: deliberately tighter for the better classes: a gold tenant buys
 #: *admission order*, not unmetered volume.
 QOS_CLASSES: dict[str, QosClass] = {
-    "gold": QosClass("gold", priority=2, rate=20.0, burst=10.0,
-                     patience=8.0),
-    "silver": QosClass("silver", priority=1, rate=40.0, burst=20.0,
-                       patience=4.0),
-    "best-effort": QosClass("best-effort", priority=0, rate=80.0,
-                            burst=40.0, patience=2.0),
+    "gold": QosClass("gold", priority=QOS_PRIORITY["gold"], rate=20.0,
+                     burst=10.0, patience=8.0),
+    "silver": QosClass("silver", priority=QOS_PRIORITY["silver"],
+                       rate=40.0, burst=20.0, patience=4.0),
+    "best-effort": QosClass("best-effort",
+                            priority=QOS_PRIORITY["best-effort"],
+                            rate=80.0, burst=40.0, patience=2.0),
 }
 
 #: Valid QoS class names, best first.
@@ -68,19 +75,3 @@ def get_qos(name: str) -> QosClass:
         raise ValueError(
             f"unknown QoS class {name!r}; choose from {QOS_NAMES}"
         ) from None
-
-
-def qos_for_priority(priority: int) -> str:
-    """Map a workload task's integer priority onto a QoS class name.
-
-    The replay driver (:mod:`repro.campaign.replay`) uses this to turn
-    the seeded campaign workloads — whose generators draw integer
-    priority levels — into service traffic: 0 is best-effort, 1 silver,
-    anything higher gold.  The mapping is the inverse of the class
-    ``priority`` field, so a replayed stream keeps its admission order.
-    """
-    if priority <= 0:
-        return "best-effort"
-    if priority == 1:
-        return "silver"
-    return "gold"

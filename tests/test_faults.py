@@ -3,21 +3,23 @@
 What is pinned, layer by layer:
 
 * **plans** (:mod:`repro.faults`): the named factories are seeded and
-  deterministic, validate their targets, and dispatch onto the
-  scheduler's fault machinery;
-* **failover** (:class:`repro.sched.scheduler.OnlineTaskScheduler`):
+  deterministic, events validate every field, and each kind is carried
+  out by the kernel's fault recovery;
+* **failover** (:class:`repro.faults.recovery.FaultRecovery`):
   the relocate -> restart -> drop ladder — relocation keeps progress
   (the paper's own mechanism finds the task a new region), restart
   loses it, drop happens only when no surviving fabric could *ever*
   host the footprint — plus the acceptance scenario: killing 1 of 4
-  members mid-surge recovers every displaced task;
+  members mid-surge recovers every displaced task; a stuck-at outbreak
+  displaces the tasks on its sites wherever a rearrangement moved them;
 * **the epoch-guard regression**: the latent bug the kill sweep
   surfaced — a fault-restarted task being rejected by the *stale*
   patience timeout of its first queueing round — stays fixed;
 * **service chaos** (:meth:`repro.service.app.ReproService.inject_fault`
-  and ``POST /faults``): faults journal their displacements, and a
-  checkpoint cut *mid-outbreak* restores bit-identically (hypothesis
-  sweeps the cut instant).
+  and ``POST /faults``): faults journal their displacements, a
+  malformed fault is refused before any state moves, and a checkpoint
+  cut *mid-outbreak* restores bit-identically (hypothesis sweeps the
+  cut instant).
 """
 
 import pytest
@@ -26,20 +28,23 @@ from hypothesis import given, strategies as st
 from repro.core.manager import LogicSpaceManager
 from repro.device.devices import device
 from repro.device.fabric import Fabric
+from repro.device.geometry import Rect
 from repro.faults import (
+    FAULT_OWNER_BASE,
     FAULT_PLAN_NAMES,
     FAULT_PLANS,
     FaultEvent,
     FaultPlan,
     make_fault_plan,
 )
-from repro.faults.plan import KILL_AT, apply_event
+from repro.faults.plan import KILL_AT
 from repro.fleet.manager import FleetManager
-from repro.sched.scheduler import FAULT_OWNER_BASE, OnlineTaskScheduler
+from repro.sched.scheduler import OnlineTaskScheduler
 from repro.sched.tasks import Task, TaskState
 from repro.sched.workload import fleet_surge_tasks
 from repro.service import ReproService, ServiceConfig, restore, snapshot
 
+from test_service import fragmenting_service_after_a_move
 from test_service_api import Client, with_api
 
 
@@ -54,6 +59,12 @@ def fleet_of(names: list[str]) -> FleetManager:
 
 def single_scheduler(name: str = "XC2S15") -> OnlineTaskScheduler:
     return OnlineTaskScheduler(manager_for(name))
+
+
+def inject(scheduler, kind: str, **fields) -> dict:
+    """Carry one fault out now through the kernel's recovery."""
+    return scheduler.kernel.faults.apply(
+        FaultEvent(at=scheduler.events.now, kind=kind, **fields))
 
 
 TERMINAL = (TaskState.FINISHED, TaskState.REJECTED, TaskState.DROPPED)
@@ -119,48 +130,50 @@ def test_flaky_port_plan_shape():
                for e in plan.events)
 
 
+REGION = {"kind": "region-stuck", "height": 2, "width": 2}
+
+
 @pytest.mark.parametrize("kwargs", [
     {"at": 0.0, "kind": "solar-flare"},
     {"at": -0.1, "kind": "member-death"},
     {"at": 1.0, "kind": "region-stuck", "duration": 0.0},
     {"at": 1.0, "kind": "region-stuck", "duration": -2.0},
+    {"at": 1.0, **REGION, "duration": -1.0},
+    {"at": 1.0, **REGION, "duration": float("inf")},
+    {"at": float("nan"), "kind": "member-death"},
+    {"at": 1.0, "kind": "member-death", "member": -1},
+    {"at": 1.0, "kind": "member-death", "member": True},
+    {"at": 1.0, "kind": "member-death", "member": 1.5},
+    {"at": 1.0, **REGION, "row": -1},
+    {"at": 1.0, "kind": "region-stuck", "height": 0, "width": 2},
+    {"at": 1.0, "kind": "region-stuck", "height": 2},
+    {"at": 1.0, "kind": "port-flaky", "retries": -1},
+    {"at": 1.0, "kind": "port-flaky", "backoff": -0.1},
+    {"at": 1.0, "kind": "port-flaky", "backoff": "0.2"},
 ])
 def test_fault_event_validation(kwargs):
     with pytest.raises(ValueError):
         FaultEvent(**kwargs)
 
 
-class RecordingScheduler:
-    """Duck-typed fault target that records every dispatched call."""
-
-    def __init__(self):
-        self.calls = []
-
-    def kill_member(self, member):
-        self.calls.append(("kill", member))
-
-    def inject_region_fault(self, member, row, col, height, width,
-                            duration=None):
-        self.calls.append(("region", member, row, col, height, width,
-                           duration))
-
-    def flake_port(self, member, retries, backoff):
-        self.calls.append(("flake", member, retries, backoff))
-
-
 def test_apply_event_dispatches_by_kind():
-    target = RecordingScheduler()
-    apply_event(target, FaultEvent(at=1.0, kind="member-death", member=2))
-    apply_event(target, FaultEvent(at=1.0, kind="region-stuck", member=0,
+    """One ``apply`` carries every kind out, each with its summary."""
+    scheduler = OnlineTaskScheduler(fleet_of(["XC2S15"] * 3))
+    faults = scheduler.kernel.faults
+    assert faults.apply(FaultEvent(at=0.0, kind="member-death",
+                                   member=2)) == {
+        "member": 2, "relocated": [], "restarted": [], "dropped": []}
+    assert faults.apply(FaultEvent(at=0.0, kind="region-stuck", member=0,
                                    row=1, col=2, height=3, width=4,
-                                   duration=1.5))
-    apply_event(target, FaultEvent(at=1.0, kind="port-flaky", member=1,
-                                   retries=5, backoff=0.1))
-    assert target.calls == [
-        ("kill", 2),
-        ("region", 0, 1, 2, 3, 4, 1.5),
-        ("flake", 1, 5, 0.1),
-    ]
+                                   duration=1.5)) == {
+        "device": 0, "relocated": [], "restarted": [], "dropped": [],
+        "fault": 1}
+    assert faults.apply(FaultEvent(at=0.0, kind="port-flaky", member=1,
+                                   retries=5, backoff=0.1)) == {
+        "member": 1, "retry_seconds": pytest.approx(0.5)}
+    assert scheduler.manager.lost == {2}
+    assert faults.regions[1]["rect"] == [1, 2, 3, 4]
+    assert scheduler.metrics.faults_injected == 3
 
 
 def test_installed_plan_fires_on_the_scheduler_timeline():
@@ -177,7 +190,8 @@ def test_installed_plan_fires_on_the_scheduler_timeline():
 def kill_at(scheduler, at, member):
     """Schedule a member death; returns the list its summary lands in."""
     out = []
-    scheduler.events.at(at, lambda: out.append(scheduler.kill_member(member)))
+    scheduler.events.at(at, lambda: out.append(
+        inject(scheduler, "member-death", member=member)))
     return out
 
 
@@ -240,12 +254,12 @@ def test_drop_only_when_no_survivor_could_ever_fit():
 
 def test_kill_member_validation_and_idempotence():
     with pytest.raises(ValueError, match="requires a fleet"):
-        single_scheduler().kill_member(0)
+        inject(single_scheduler(), "member-death", member=0)
     scheduler = OnlineTaskScheduler(fleet_of(["XC2S15"] * 2))
     with pytest.raises(ValueError, match="no fleet member"):
-        scheduler.kill_member(5)
-    scheduler.kill_member(1)
-    again = scheduler.kill_member(1)
+        inject(scheduler, "member-death", member=5)
+    inject(scheduler, "member-death", member=1)
+    again = inject(scheduler, "member-death", member=1)
     assert again == {"member": 1, "relocated": [], "restarted": [],
                      "dropped": []}
     assert scheduler.metrics.members_lost == 1  # not double-counted
@@ -317,7 +331,8 @@ def test_region_fault_displaces_and_relocates_on_the_same_member(build):
     task = Task(1, 2, 2, 5.0, 0.0)
     summaries = []
     scheduler.events.at(1.0, lambda: summaries.append(
-        scheduler.inject_region_fault(0, 0, 0, 3, 3, duration=1.5)
+        inject(scheduler, "region-stuck", member=0, row=0, col=0,
+               height=3, width=3, duration=1.5)
     ))
     metrics = scheduler.run([task])
     assert summaries[0]["relocated"] == [1]
@@ -327,7 +342,7 @@ def test_region_fault_displaces_and_relocates_on_the_same_member(build):
     assert (task.rect.row, task.rect.col) != (0, 0)
     # The transient region healed: no active fault regions remain and
     # the fabric is completely free again.
-    assert scheduler._fault_regions == {}
+    assert scheduler.kernel.faults.regions == {}
     fabric = scheduler.kernel.manager.members[0].fabric
     assert (fabric.occupancy != 0).sum() == 0
     # Blockers went in through the fleet's adopt and out through its
@@ -338,50 +353,83 @@ def test_region_fault_displaces_and_relocates_on_the_same_member(build):
 
 def test_permanent_region_fault_blocks_with_fault_owners():
     scheduler = single_scheduler()
-    summary = scheduler.inject_region_fault(0, 2, 2, 3, 4)
+    summary = inject(scheduler, "region-stuck", row=2, col=2, height=3,
+                     width=4)
     assert summary["fault"] == 1
-    record = scheduler._fault_regions[1]
+    record = scheduler.kernel.faults.regions[1]
     assert record["heal_at"] is None
     assert all(owner > FAULT_OWNER_BASE for owner, _ in record["owners"])
     fabric = scheduler.kernel.manager.members[0].fabric
     assert (fabric.occupancy != 0).sum() == 3 * 4
     with pytest.raises(ValueError, match="out of bounds"):
-        scheduler.inject_region_fault(0, 7, 10, 4, 4)
+        inject(scheduler, "region-stuck", row=7, col=10, height=4, width=4)
     with pytest.raises(ValueError, match="no device"):
-        scheduler.inject_region_fault(3, 0, 0, 2, 2)
+        inject(scheduler, "region-stuck", member=3, height=2, width=2)
+
+
+def test_stuck_at_fault_displaces_a_moved_task_from_its_current_sites():
+    """Victims are the running owners on the faulty sites, wherever a
+    rearrangement moved them since placement."""
+    service = fragmenting_service_after_a_move()
+    fabric = service.manager.members[0].fabric
+    assert fabric.footprint(22) == Rect(6, 0, 2, 2)
+    out = service.inject_fault("region-stuck", row=6, col=0, height=2,
+                               width=2)
+    assert 22 in out["relocated"] + out["restarted"]
+    assert (fabric.occupancy[6:8, 0:2] > FAULT_OWNER_BASE).all()
+    service.settle()
+    assert service.status(22)["state"] == "finished"
+
+
+def test_stuck_at_fault_spares_other_members():
+    """Only the faulty member's sites pick victims: a task on another
+    member at the same coordinates keeps running where it is."""
+    service = ReproService(ServiceConfig(device="XC2S15", fleet_size=2))
+    service.submit(8, 12, 5.0, qos="gold")  # fills member 0
+    bystander = service.submit(2, 2, 5.0, qos="gold")
+    assert (bystander["device"], bystander["rect"]) == (1, [0, 0, 2, 2])
+    out = service.inject_fault("region-stuck", member=0, row=0, col=0,
+                               height=2, width=2)
+    assert out["relocated"] + out["restarted"] + out["dropped"] == [1]
+    view = service.status(bystander["task"])
+    assert (view["device"], view["rect"]) == (1, [0, 0, 2, 2])
+    assert view["state"] in ("configuring", "running")
 
 
 def test_region_fault_on_a_dead_member_is_moot():
     scheduler = OnlineTaskScheduler(fleet_of(["XC2S15"] * 2))
-    scheduler.kill_member(1)
-    summary = scheduler.inject_region_fault(1, 0, 0, 2, 2)
+    inject(scheduler, "member-death", member=1)
+    summary = inject(scheduler, "region-stuck", member=1, height=2,
+                     width=2)
     assert summary["fault"] is None
-    assert scheduler._fault_regions == {}
+    assert scheduler.kernel.faults.regions == {}
 
 
 def test_flake_port_charges_retry_seconds():
     scheduler = single_scheduler()
-    assert scheduler.flake_port(0, retries=2, backoff=0.5) == 1.0
+    assert inject(scheduler, "port-flaky", retries=2,
+                  backoff=0.5)["retry_seconds"] == 1.0
     assert scheduler.metrics.port_retry_seconds == 1.0
     assert scheduler.metrics.faults_injected == 1
     with pytest.raises(ValueError, match="no device"):
-        scheduler.flake_port(7)
-    with pytest.raises(ValueError, match="cannot be negative"):
-        scheduler.flake_port(0, retries=-1)
+        inject(scheduler, "port-flaky", member=7)
+    with pytest.raises(ValueError, match="retries must be"):
+        inject(scheduler, "port-flaky", retries=-1)
     # A flake on a dead member charges nothing: the port is gone.
     fleet = OnlineTaskScheduler(fleet_of(["XC2S15"] * 2))
-    fleet.kill_member(1)
-    assert fleet.flake_port(1) == 0.0
+    inject(fleet, "member-death", member=1)
+    assert inject(fleet, "port-flaky", member=1)["retry_seconds"] == 0.0
 
 
 def test_export_fault_state_roundtrip_on_a_fresh_scheduler():
     scheduler = single_scheduler()
-    assert scheduler.export_fault_state() is None  # fault-free shape
-    scheduler.inject_region_fault(0, 1, 1, 2, 2, duration=4.0)
-    state = scheduler.export_fault_state()
+    assert scheduler.kernel.faults.export_state() is None  # fault-free
+    inject(scheduler, "region-stuck", row=1, col=1, height=2, width=2,
+           duration=4.0)
+    state = scheduler.kernel.faults.export_state()
     fresh = single_scheduler()
-    fresh.restore_fault_state(state)
-    assert fresh.export_fault_state() == state
+    fresh.kernel.faults.restore_state(state)
+    assert fresh.kernel.faults.export_state() == state
     occupied = (fresh.kernel.manager.members[0].fabric.occupancy != 0).sum()
     assert occupied == 2 * 2
 
@@ -431,8 +479,8 @@ def test_service_checkpoint_mid_member_death_is_bit_identical():
     service = fleet_service()
     service.inject_fault("member-death", member=1)
     restored = restore(snapshot(service))
-    assert restored.engine.export_fault_state() \
-        == service.engine.export_fault_state()
+    assert restored.engine.kernel.faults.export_state() \
+        == service.engine.kernel.faults.export_state()
     service.settle()
     restored.settle()
     assert restored.engine.journal == service.engine.journal
@@ -464,6 +512,35 @@ def test_post_faults_over_http():
     with_api(scenario, device="XC2S30", fleet_size=2)
 
 
+@pytest.mark.parametrize("duration", [-1, 0])
+def test_non_positive_fault_duration_is_a_400_that_moves_nothing(duration):
+    async def scenario(api, client):
+        service = api.service
+        status, view, _ = await client.request(
+            "POST", "/tasks",
+            {"height": 3, "width": 3, "exec_seconds": 2.0, "qos": "gold"})
+        assert status == 202
+        fabric = service.manager.members[0].fabric
+        row, col, height, width = view["rect"]
+
+        def state():
+            return (service.tasks(), fabric.occupancy.tolist(),
+                    sorted(service.engine.kernel.running),
+                    service.stats()["faults_injected"])
+
+        before = state()
+        status, payload, _ = await client.request(
+            "POST", "/faults",
+            {"kind": "region-stuck", "row": row, "col": col,
+             "height": height, "width": width, "duration": duration})
+        assert status == 400 and "duration" in payload["error"]
+        assert state() == before
+        status, _, _ = await client.request("POST", "/clock/settle")
+        assert status == 200
+        assert [v["state"] for v in service.tasks()] == ["finished"]
+    with_api(scenario, device="XC2S15")
+
+
 # -- hypothesis: checkpoint cut anywhere mid-outbreak -----------------------
 
 
@@ -490,8 +567,8 @@ def test_checkpoint_cut_mid_outbreak_restores_bit_identically(cut):
     original = outbreak_service()
     original.advance(until=cut)
     restored = restore(snapshot(original))
-    assert restored.engine.export_fault_state() \
-        == original.engine.export_fault_state()
+    assert restored.engine.kernel.faults.export_state() \
+        == original.engine.kernel.faults.export_state()
     original.settle()
     restored.settle()
     assert restored.engine.journal == original.engine.journal

@@ -5,8 +5,8 @@ Two claims:
 * the fault-axis campaign grid is **execution-mode invariant**: the
   same 32 scenarios produce equal :class:`ScenarioResult` rows run
   serially, run through the multiprocessing pool, and run a second
-  time (fault plans are seeded and the scheduler's fault machinery
-  runs on the simulation timeline, so nothing leaks from the host);
+  time (fault plans are seeded and the kernel's fault recovery runs
+  on the simulation timeline, so nothing leaks from the host);
 * **task conservation survives a kill at every event instant**: for
   every moment anything happens in a baseline fleet run, re-running
   the stream with a member death injected exactly then still leaves
@@ -20,6 +20,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.core.manager import LogicSpaceManager
 from repro.device.devices import device
 from repro.device.fabric import Fabric
+from repro.faults import FaultEvent
 from repro.fleet.manager import FleetManager
 from repro.sched.scheduler import OnlineTaskScheduler
 from repro.sched.tasks import TaskState
@@ -77,6 +78,16 @@ def surge_fleet(members: int = 4):
     )
 
 
+def fault_at(scheduler, at: float, kind: str, **fields) -> list[dict]:
+    """Schedule one fault on the run's timeline; returns the list its
+    summary lands in."""
+    out: list[dict] = []
+    event = FaultEvent(at=at, kind=kind, **fields)
+    scheduler.events.at(
+        at, lambda: out.append(scheduler.kernel.faults.apply(event)))
+    return out
+
+
 def baseline_event_instants(tasks) -> list[float]:
     """Every instant at which the fault-free run does anything: task
     arrivals plus each task's configuration and completion times."""
@@ -98,7 +109,7 @@ def test_kill_at_every_event_instant_conserves_tasks():
     for at in kill_times:
         tasks = fleet_surge_tasks(24, seed=3)  # fresh mutable stream
         scheduler = OnlineTaskScheduler(surge_fleet(), queue="fifo")
-        scheduler.events.at(at, lambda: scheduler.kill_member(1))
+        fault_at(scheduler, at, "member-death", member=1)
         metrics = scheduler.run(tasks)
         context = f"kill at t={at}"
         assert metrics.members_lost == 1, context
@@ -120,7 +131,7 @@ def test_kill_sweep_is_victim_independent_for_conservation():
         for at in sample:
             tasks = fleet_surge_tasks(18, seed=7)
             scheduler = OnlineTaskScheduler(surge_fleet(), queue="fifo")
-            scheduler.events.at(at, lambda: scheduler.kill_member(victim))
+            fault_at(scheduler, at, "member-death", member=victim)
             metrics = scheduler.run(tasks)
             assert (metrics.finished + metrics.rejected
                     + metrics.dropped_tasks) == len(tasks), \
@@ -134,15 +145,10 @@ def test_repeated_fault_runs_are_bit_identical():
     def run_once():
         tasks = fleet_surge_tasks(20, seed=5)
         scheduler = OnlineTaskScheduler(surge_fleet(), queue="fifo")
-        summaries = []
-        scheduler.events.at(
-            2.0, lambda: summaries.append(scheduler.kill_member(2))
-        )
-        scheduler.events.at(
-            2.5, lambda: scheduler.inject_region_fault(
-                0, 0, 0, 3, 3, duration=1.0)
-        )
-        scheduler.events.at(1.0, lambda: scheduler.flake_port(3))
+        summaries = fault_at(scheduler, 2.0, "member-death", member=2)
+        fault_at(scheduler, 2.5, "region-stuck", member=0, height=3,
+                 width=3, duration=1.0)
+        fault_at(scheduler, 1.0, "port-flaky", member=3)
         metrics = scheduler.run(tasks)
         return (
             summaries,

@@ -33,11 +33,11 @@ from repro.service import (
     ServiceConfig,
     TokenBucket,
     get_qos,
-    qos_for_priority,
     restore,
     snapshot,
 )
 from repro.sched.tasks import TaskState
+from repro.sched.trace import qos_of_priority
 from repro.service.admission import DEPTH_RETRY_AFTER, AdmissionController
 from repro.service.checkpoint import load, save
 
@@ -64,9 +64,9 @@ def test_qos_registry_is_consistent():
 
 def test_priority_round_trips_through_qos_classes():
     for name, qos in QOS_CLASSES.items():
-        assert qos_for_priority(qos.priority) == name
-    assert qos_for_priority(-3) == "best-effort"
-    assert qos_for_priority(7) == "gold"
+        assert qos_of_priority(qos.priority) == name
+    assert qos_of_priority(-3) == "best-effort"
+    assert qos_of_priority(7) == "gold"
 
 
 # -- token buckets ----------------------------------------------------------
@@ -165,6 +165,44 @@ def test_placed_task_reads_running_once_configured():
     svc.advance(seconds=5.0)
     assert svc.status(task_id)["state"] == "finished"
     assert svc.tasks(state="running") == []
+
+
+def fragmenting_service_after_a_move() -> ReproService:
+    """``fragmenting``, seed 0, 40 tasks on an XC2S15 under fifo and
+    concurrent relocation, replayed to t = 9.75: by then a
+    rearrangement has moved task 22 from where it was placed (R1C7) to
+    R6C0."""
+    service = small_service(queue="fifo", rearrange="concurrent")
+    for submission in service_trace("fragmenting", device="XC2S15", seed=0,
+                                    n=40):
+        if submission["at"] > 9.75:
+            break
+        service.submit(**submission)
+    service.advance(until=9.75)
+    return service
+
+
+def test_task_view_reports_the_region_a_rearrangement_moved_it_to():
+    service = fragmenting_service_after_a_move()
+    assert service.status(22)["rect"] == [6, 0, 2, 2]
+    fabric = service.manager.members[0].fabric
+    for owner in service.engine.kernel.running:
+        rect = fabric.footprint(owner)
+        assert service.status(owner)["rect"] \
+            == [rect.row, rect.col, rect.height, rect.width]
+
+
+def test_task_listing_builds_views_only_up_to_the_limit(monkeypatch):
+    svc = small_service()
+    for index in range(50):
+        svc.submit(1, 1, 0.5, tenant=f"t{index % 5}")
+    built = []
+    status = svc.status
+    monkeypatch.setattr(svc, "status",
+                        lambda task_id: built.append(task_id)
+                        or status(task_id))
+    assert [view["task"] for view in svc.tasks(limit=1)] == [50]
+    assert built == [50]
 
 
 def test_submissions_queue_and_patience_rejects():

@@ -6,10 +6,10 @@ repo deliberately carries no pytest-asyncio dependency).  Pinned:
 
 * the REST surface routes and validates: submit/status/list/cancel,
   clock control, stats, 404/405/409/400 on the documented conditions;
-* malformed requests (a bad request line, a non-integer
-  ``Content-Length``, a JSON body that is not an object, a numeric
-  field of the wrong type or out of range, a ``limit`` query parameter
-  that is not an integer >= 0) are answered with a 400 and
+* malformed requests (a bad request line, a ``Content-Length``, task
+  id or ``limit`` query parameter that is not a plain decimal integer
+  >= 0, a JSON body that is not an object, a numeric field of the
+  wrong type or out of range) are answered with a 400 and
   leave the server serving; a malformed submission leaves the task
   registry, the journal and the door counters as they were; an
   unexpected handler error is a 500, never a dropped connection;
@@ -183,8 +183,36 @@ def test_malformed_request_line_is_a_400():
 def test_non_integer_content_length_is_a_400():
     answers_error_then_serves_on(
         b"POST /tasks HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
-        "Content-Length is not an integer",
+        "Content-Length must be an integer >= 0",
     )
+
+
+@pytest.mark.parametrize("length", [b"+16", b"1_6", b"16.0", b" 1 6"])
+def test_content_length_is_digits_only(length):
+    """``int()`` would read the first two as 16; HTTP allows digits
+    only.  The 16-byte body would otherwise be a valid advance."""
+    answers_error_then_serves_on(
+        b"POST /clock/advance HTTP/1.1\r\nContent-Length: " + length
+        + b"\r\n\r\n" + b'{"seconds": 1.0}',
+        "Content-Length must be an integer >= 0",
+    )
+
+
+@pytest.mark.parametrize("task_id", ["+1", "1_0", "%201", "-1"])
+def test_task_id_is_digits_only(task_id):
+    async def scenario(api, client):
+        status, _, _ = await client.request("POST", "/tasks", SUBMIT)
+        assert status == 202
+        for method in ("GET", "DELETE"):
+            status, payload, _ = await client.request(
+                method, f"/tasks/{task_id}")
+            assert status == 400
+            assert "task id must be an integer >= 0" in payload["error"]
+        status, view, _ = await client.request("GET", "/tasks/1")
+        assert status == 200 and view["state"] != "cancelled"
+        status, _, _ = await client.request("GET", "/healthz")
+        assert status == 200
+    with_api(scenario)
 
 
 def test_json_array_submit_body_is_a_400():
@@ -204,7 +232,7 @@ def test_json_array_clock_advance_body_is_a_400():
 def test_negative_content_length_is_a_400():
     answers_error_then_serves_on(
         b"POST /tasks HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
-        "Content-Length is negative",
+        "Content-Length must be an integer >= 0",
     )
 
 

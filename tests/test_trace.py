@@ -111,15 +111,6 @@ def test_qos_of_priority_saturates():
     assert qos_of_priority(9) == "gold"
 
 
-def test_qos_priorities_match_the_service_layer():
-    """The trace layer mirrors repro.service.qos numerically; a drift
-    would silently re-prioritize replayed service traffic."""
-    from repro.service.qos import QOS_CLASSES
-    assert set(QOS_PRIORITY) == set(QOS_CLASSES)
-    for name, qos in QOS_CLASSES.items():
-        assert QOS_PRIORITY[name] == qos.priority
-
-
 @given(st.lists(
     st.tuples(
         st.floats(min_value=0, max_value=100, allow_nan=False),

@@ -160,10 +160,18 @@ MUTANTS = (
     Mutant(
         name="negative-content-length-read",
         path="src/repro/service/api.py",
-        original="                if length < 0:\n",
-        mutated="                if False:\n",
+        original="    if not (raw.isascii() and raw.isdigit()):\n",
+        mutated="    if not (raw.isascii() and raw.lstrip(\"-\").isdigit()):\n",
         tests=("tests/test_service_api.py::"
                "test_negative_content_length_is_a_400",),
+    ),
+    Mutant(
+        name="content-length-parsed-with-int",
+        path="src/repro/service/api.py",
+        original='length = _decimal(value.strip(), "Content-Length")',
+        mutated="length = int(value.strip())",
+        tests=("tests/test_service_api.py::"
+               "test_content_length_is_digits_only",),
     ),
     Mutant(
         name="body-size-uncapped",
@@ -180,6 +188,67 @@ MUTANTS = (
         original="async with asyncio.timeout(READ_TIMEOUT_S):",
         mutated="async with asyncio.timeout(None):",
         tests=("tests/test_service_api.py::test_slow_request_is_a_408",),
+    ),
+    Mutant(
+        name="task-listing-builds-every-view",
+        path="src/repro/service/app.py",
+        original="""\
+        for task in reversed(self.engine.tasks.values()):
+            if len(views) == limit:
+                break
+            if state is None or self._state(task).value == state:
+                views.append(self.status(task.task_id))
+""",
+        mutated="""\
+        for task in reversed(self.engine.tasks.values()):
+            view = self.status(task.task_id)
+            if len(views) != limit \\
+                    and (state is None or view["state"] == state):
+                views.append(view)
+""",
+        tests=("tests/test_service.py::"
+               "test_task_listing_builds_views_only_up_to_the_limit",),
+    ),
+    Mutant(
+        name="moves-leave-the-task-rect",
+        path="src/repro/sched/kernel.py",
+        original="            entry.item.rect = execution.move.dst\n",
+        mutated="",
+        tests=("tests/test_service.py::"
+               "test_task_view_reports_the_region_a_rearrangement"
+               "_moved_it_to",),
+    ),
+    # With the kernel keeping every running task's rect current, a
+    # victim rule over task rects matches the faulty sites on the one
+    # fabric the rects are read against; what only the sites know is
+    # the member, so the rect rule displaces work on every member.
+    Mutant(
+        name="region-victims-from-task-rects",
+        path="src/repro/faults/recovery.py",
+        original="""\
+        displaced = self._displace(sorted(
+            owner for owner in map(int, np.unique(sites))
+            if owner in kernel.running
+        ))
+""",
+        mutated="""\
+        displaced = self._displace(sorted(
+            owner for owner, entry in kernel.running.items()
+            if entry.item.rect.overlaps(rect)
+        ))
+""",
+        tests=("tests/test_faults.py::"
+               "test_stuck_at_fault_spares_other_members",),
+    ),
+    Mutant(
+        name="fault-injected-without-a-fault-event",
+        path="src/repro/service/app.py",
+        original="event = FaultEvent(at=self.now, kind=kind, **fields)",
+        mutated=("event = __import__('types').SimpleNamespace("
+                 "at=self.now, kind=kind, **fields)"),
+        tests=("tests/test_faults.py::"
+               "test_non_positive_fault_duration_is_a_400_that_moves"
+               "_nothing",),
     ),
 )
 
