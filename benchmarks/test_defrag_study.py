@@ -49,7 +49,7 @@ def run_policy(policy, port_kind):
             random_tasks(seed=seed, **WORKLOAD)
         )
         waits.append(metrics.mean_waiting)
-        turns.append(mean(metrics.turnaround_seconds))
+        turns.append(metrics.mean_turnaround)
         halted += metrics.halted_seconds
         rearr += metrics.rearrangements
     return {

@@ -305,7 +305,7 @@ class FaultRecovery:
         for index in state["lost_members"]:
             fleet.mark_lost(int(index))
         self._owner_seq = int(state["owner_seq"])
-        self._fault_seq = int(state.get("fault_seq", 0))
+        self._fault_seq = int(state["fault_seq"])
         for row in state["regions"]:
             record = dict(
                 row, id=int(row["id"]), device=int(row["device"]),

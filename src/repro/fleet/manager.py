@@ -99,10 +99,6 @@ class FleetManager:
             (r.area for r in self.members[index].free_space.mers), default=0
         )
 
-    def device_of(self, owner: int) -> int:
-        """Member index currently hosting ``owner``."""
-        return self._owners[owner][0]
-
     def mark_lost(self, index: int) -> None:
         """Declare member ``index`` dead (fleet failover, see
         :mod:`repro.faults`).

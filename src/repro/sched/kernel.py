@@ -66,8 +66,10 @@ class ScheduleMetrics:
 
     finished: int = 0
     rejected: int = 0
-    waiting_seconds: list[float] = field(default_factory=list)
-    turnaround_seconds: list[float] = field(default_factory=list)
+    #: summed waiting and turnaround seconds of the finished work (the
+    #: means divide them by ``finished``).
+    waiting_total: float = 0.0
+    turnaround_total: float = 0.0
     halted_seconds: float = 0.0
     port_busy_seconds: float = 0.0
     makespan: float = 0.0
@@ -79,8 +81,14 @@ class ScheduleMetrics:
     proactive_defrags: int = 0
     defrag_moves: int = 0
     defrag_port_seconds: float = 0.0
-    fragmentation_samples: list[float] = field(default_factory=list)
-    utilization_samples: list[float] = field(default_factory=list)
+    #: telemetry (see :meth:`SchedulingKernel.sample`): the summed
+    #: fleet-wide fragmentation and utilization samples, their count,
+    #: and the latest sample as (fragmentation, utilization, each
+    #: member's (fragmentation, utilization) reading).
+    fragmentation_total: float = 0.0
+    utilization_total: float = 0.0
+    sample_count: int = 0
+    latest_sample: tuple = (0.0, 0.0, ())
     #: application-flow extras (zero for independent-task runs):
     #: reconfiguration-induced stall and prefetch success counts.
     stall_seconds: float = 0.0
@@ -121,38 +129,25 @@ class ScheduleMetrics:
     @property
     def mean_waiting(self) -> float:
         """Mean task waiting time (0 when nothing finished)."""
-        return (
-            sum(self.waiting_seconds) / len(self.waiting_seconds)
-            if self.waiting_seconds
-            else 0.0
-        )
+        return self.waiting_total / self.finished if self.finished else 0.0
 
     @property
     def mean_fragmentation(self) -> float:
         """Mean sampled fragmentation index."""
-        return (
-            sum(self.fragmentation_samples) / len(self.fragmentation_samples)
-            if self.fragmentation_samples
-            else 0.0
-        )
+        return (self.fragmentation_total / self.sample_count
+                if self.sample_count else 0.0)
 
     @property
     def mean_turnaround(self) -> float:
         """Mean task turnaround time (0 when nothing finished)."""
-        return (
-            sum(self.turnaround_seconds) / len(self.turnaround_seconds)
-            if self.turnaround_seconds
-            else 0.0
-        )
+        return (self.turnaround_total / self.finished
+                if self.finished else 0.0)
 
     @property
     def mean_utilization(self) -> float:
         """Mean sampled site occupancy."""
-        return (
-            sum(self.utilization_samples) / len(self.utilization_samples)
-            if self.utilization_samples
-            else 0.0
-        )
+        return (self.utilization_total / self.sample_count
+                if self.sample_count else 0.0)
 
     @property
     def tenant_fairness(self) -> float:
@@ -229,7 +224,6 @@ class SchedulingKernel:
         on_admitted: Callable[[Admissible, PlacementOutcome], None]
         | None = None,
         on_space_reclaimed: Callable[[], None] | None = None,
-        sample_on_defrag: bool = True,
         prefetch: str = "never",
         on_recovered: Callable[[Any, str, PlacementOutcome], None]
         | None = None,
@@ -276,10 +270,6 @@ class SchedulingKernel:
         self.on_recovered = on_recovered
         #: the fault machinery (see :mod:`repro.faults.recovery`).
         self.faults = FaultRecovery(self)
-        #: whether a proactive consolidation records a telemetry sample
-        #: (the task scheduler samples, the application scheduler never
-        #: sampled — preserved for metric compatibility).
-        self.sample_on_defrag = sample_on_defrag
         #: owner -> executing work, so moves can follow its item and
         #: HALT-policy stops can push its finish event out.
         self.running: dict[int, Running] = {}
@@ -303,9 +293,6 @@ class SchedulingKernel:
         #: external-clock pause flag: while paused, admission passes are
         #: deferred and the clock may not advance (checkpoint windows).
         self._paused = False
-        #: per-member (fragmentation, utilization) readings of the most
-        #: recent :meth:`sample` (one pair for a single-device kernel).
-        self.member_samples: list[tuple[float, float]] = []
 
     # -- event plumbing -----------------------------------------------------
 
@@ -809,8 +796,7 @@ class SchedulingKernel:
         # the sample is fleet-wide, so several members consolidating at
         # the same instant must not weight it several times (a single
         # device fires at most one outcome here — unchanged).
-        if self.sample_on_defrag:
-            self.sample()
+        self.sample()
         if self.on_space_reclaimed is not None:
             self.on_space_reclaimed()
         self.drain()
@@ -824,10 +810,11 @@ class SchedulingKernel:
         The kernel samples **per member** and aggregates site-weighted
         itself — never through a fleet facade's primary-member view —
         so heterogeneous fleets are reported by every fabric they own.
-        A 1-member kernel appends its single manager's values verbatim
-        (no float round-trip may perturb the bit-identical proxy); the
-        per-member readings of the latest sample stay available in
-        :attr:`member_samples` for telemetry consumers.
+        A 1-member kernel records its single manager's values verbatim
+        (no float round-trip may perturb the bit-identical proxy).  The
+        sample is added to the metrics' running totals and kept, with
+        the per-member readings, as ``metrics.latest_sample`` for
+        telemetry consumers.
         """
         members = self.manager.members
         lost = self.manager.lost
@@ -836,7 +823,6 @@ class SchedulingKernel:
             if i not in lost else (0.0, 0.0)
             for i, m in enumerate(members)
         ]
-        self.member_samples = samples
         live = [
             (members[i], pair)
             for i, pair in enumerate(samples)
@@ -856,5 +842,8 @@ class SchedulingKernel:
                 sites += count
             frag = weighted_frag / sites
             util = weighted_util / sites
-        self.metrics.fragmentation_samples.append(frag)
-        self.metrics.utilization_samples.append(util)
+        metrics = self.metrics
+        metrics.fragmentation_total += frag
+        metrics.utilization_total += util
+        metrics.sample_count += 1
+        metrics.latest_sample = (frag, util, samples)

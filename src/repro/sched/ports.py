@@ -210,15 +210,9 @@ class IcapPortModel:
                 "busy_seconds": self.busy_seconds}
 
     def restore_state(self, state: dict) -> None:
-        """Load a previously exported state.  Pre-lane snapshots (one
-        ``free_at`` horizon for the folded single channel) restore with
-        both lanes at that horizon — the closest legal state."""
-        if "free_at" in state and "write_free" not in state:
-            self._write_free = float(state["free_at"])
-            self._readback_free = float(state["free_at"])
-        else:
-            self._write_free = float(state["write_free"])
-            self._readback_free = float(state["readback_free"])
+        """Load a previously exported per-lane state."""
+        self._write_free = float(state["write_free"])
+        self._readback_free = float(state["readback_free"])
         self.busy_seconds = float(state["busy_seconds"])
 
 

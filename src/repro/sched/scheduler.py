@@ -102,7 +102,7 @@ def summarize_application_runs(
     This gives the application-flow experiment the same result shape as
     the independent-task experiment, so the campaign engine
     (:mod:`repro.campaign`) can aggregate both uniformly: ``finished``
-    counts completed applications, ``turnaround_seconds`` holds per-app
+    counts completed applications, ``turnaround_total`` sums per-app
     completion times.  :meth:`ApplicationFlowScheduler.run` launches
     every application at t = 0, so an application's absolute finish
     time *is* its turnaround — measured from launch, not from its first
@@ -123,7 +123,7 @@ def summarize_application_runs(
     for record in runs:
         if record.finished_at is not None:
             out.finished += 1
-            out.turnaround_seconds.append(record.finished_at)
+            out.turnaround_total += record.finished_at
             out.stall_seconds += max(
                 0.0,
                 record.finished_at
@@ -161,20 +161,6 @@ class OnlineTaskScheduler:
             on_recovered=self._on_recovered,
         )
         self.manager = self.kernel.manager
-        #: task_id -> queueing epoch, bumped every time the task enters
-        #: the waiting queue.  A task's patience timeout captures the
-        #: epoch it was armed for; fault recovery can re-queue a task
-        #: that already ran once, and without the epoch guard the
-        #: *original* timeout (scheduled at arrival + max_wait, never
-        #: cancelled — cancelling would perturb the event stream the
-        #: goldens pin) would see state == QUEUED again and reject the
-        #: restarted task early.
-        self._queue_epochs: dict[int, int] = {}
-        #: task_id -> absolute patience deadline of the *current*
-        #: queueing round.  A restarted task's patience re-arms at the
-        #: fault instant, not at arrival, so checkpoints must carry the
-        #: true deadline to restore it bit-identically.
-        self._queue_deadlines: dict[int, float] = {}
 
     @property
     def events(self):
@@ -205,48 +191,47 @@ class OnlineTaskScheduler:
         """Put ``task`` in the waiting queue with a fresh patience
         window (on arrival, and again on a fault-recovery restart)."""
         task.state = TaskState.QUEUED
-        epoch = self._queue_epochs.get(task.task_id, 0) + 1
-        self._queue_epochs[task.task_id] = epoch
+        task.queue_round += 1
         if task.max_wait is not None:
-            self._queue_deadlines[task.task_id] = \
-                self.events.now + task.max_wait
-            self.events.after(
-                task.max_wait, lambda: self._on_timeout(task, epoch)
-            )
+            task.deadline = self.events.now + task.max_wait
+            self.arm_timeout(task)
         self.kernel.enqueue(task, priority=task.priority, area=task.area)
 
-    def _on_timeout(self, task: Task, epoch: int | None = None) -> None:
+    def arm_timeout(self, task: Task) -> None:
+        """Schedule ``task``'s patience timeout at its ``deadline`` for
+        its current queueing round."""
+        queue_round = task.queue_round
+        self.events.at(task.deadline,
+                       lambda: self._on_timeout(task, queue_round))
+
+    def _on_timeout(self, task: Task, queue_round: int) -> None:
         """The task's patience ran out while still queued: reject it.
 
         State change and counter are atomic: the task is marked
         ``REJECTED`` and counted in the same step, and the queue entry
         is lazily tombstoned (an already-absent entry is a no-op), so
         no path exists on which a task ends rejected but uncounted.
-        ``epoch`` guards against a stale timeout outliving the queueing
-        round it was armed for (fault recovery re-queues tasks; the
-        original event is left to fire as a no-op so the event stream —
-        and therefore the makespan the goldens pin — is unchanged).
+        ``queue_round`` guards against a stale timeout outliving the
+        queueing round it was armed for: fault recovery re-queues
+        tasks, and the original event is left to fire as a no-op
+        (cancelling it would perturb the event stream — and therefore
+        the makespan the goldens pin).
         """
         if task.state is not TaskState.QUEUED:
             return
-        if epoch is not None \
-                and epoch != self._queue_epochs.get(task.task_id):
+        if queue_round != task.queue_round:
             return
         task.state = TaskState.REJECTED
         self.metrics.rejected += 1
-        self._queue_epochs.pop(task.task_id, None)
-        self._queue_deadlines.pop(task.task_id, None)
         self.kernel.cancel(task)
 
     def _on_admitted(self, task: Task, outcome: PlacementOutcome) -> None:
         """A waiting task was placed: configure it and start it."""
-        # The patience deadline only means anything while queued (the
-        # epoch stays: it guards the still-pending timeout event).
-        self._queue_deadlines.pop(task.task_id, None)
         config_done = self.kernel.charge_placement(
             outcome, key=task.prefetch_key
         )
         task.rect = outcome.rect
+        task.device = outcome.device
         task.state = TaskState.CONFIGURING
         task.configured_at = config_done
         task.started_at = config_done
@@ -260,15 +245,13 @@ class OnlineTaskScheduler:
         task.state = TaskState.FINISHED
         task.finished_at = self.events.now
         self.kernel.finish_running(task.task_id)
-        self._queue_epochs.pop(task.task_id, None)
-        self._queue_deadlines.pop(task.task_id, None)
         self.manager.release(task.task_id)
         self.metrics.finished += 1
         if task.tenant:
             counts = self.metrics.tenant_finished
             counts[task.tenant] = counts.get(task.tenant, 0) + 1
-        self.metrics.waiting_seconds.append(task.waiting_seconds)
-        self.metrics.turnaround_seconds.append(task.turnaround_seconds)
+        self.metrics.waiting_total += task.waiting_seconds
+        self.metrics.turnaround_total += task.turnaround_seconds
         self.kernel.sample()
         self.kernel.drain()
         self.kernel.maybe_defrag()
@@ -276,17 +259,17 @@ class OnlineTaskScheduler:
     def _on_recovered(self, task: Task, fate: str,
                       outcome: PlacementOutcome) -> None:
         """Fault recovery (:mod:`repro.faults.recovery`) settled a
-        displaced task's fate.  A ``restarted`` task re-enters the
+        displaced task's fate.  A ``relocated`` task is hosted by the
+        member that accepted it; a ``restarted`` one re-enters the
         waiting queue with a fresh patience window and a ``dropped`` one
-        becomes terminal; a ``relocated`` task needs nothing more here.
-        ``outcome`` is the recovery's placement attempt (successful only
-        for a relocation)."""
+        becomes terminal, both hosted nowhere.  ``outcome`` is the
+        recovery's placement attempt (successful only for a
+        relocation)."""
+        task.device = outcome.device if fate == "relocated" else None
         if fate == "restarted":
             self._enqueue_task(task)
         elif fate == "dropped":
             task.state = TaskState.DROPPED
-            self._queue_epochs.pop(task.task_id, None)
-            self._queue_deadlines.pop(task.task_id, None)
 
 
 class ApplicationFlowScheduler:
@@ -310,7 +293,6 @@ class ApplicationFlowScheduler:
             ports=ports,
             prefetch=prefetch_mode,
             on_space_reclaimed=self._retry_stalled,
-            sample_on_defrag=False,
         )
         self.manager = self.kernel.manager
         self._owner_seq = 1000

@@ -59,12 +59,24 @@ class Task:
     #: QoS priority class (higher = more urgent); only the ``priority``
     #: queue discipline reads it — FIFO admission ignores classes.
     priority: int = 0
-    #: owning tenant (multi-tenant traces; empty for the synthetic
-    #: single-tenant generators).  Purely a label: admission never reads
-    #: it, but per-tenant fairness accounting groups finish counts by it.
+    #: owning tenant (multi-tenant traces and the service; empty for
+    #: the synthetic single-tenant generators).  Purely a label:
+    #: admission never reads it, but per-tenant fairness accounting
+    #: groups finish counts by it.
     tenant: str = ""
     state: TaskState = TaskState.PENDING
     rect: Rect | None = None
+    #: fleet member hosting the task: set at admission and by a fault
+    #: relocation, cleared when a fault restarts or drops it.
+    device: int | None = None
+    #: queueing round, bumped every time the task enters the waiting
+    #: queue (fault recovery can re-queue a task that already ran).  A
+    #: patience timeout fires only in the round it was armed for.
+    queue_round: int = 0
+    #: absolute patience deadline of the latest queueing round (None
+    #: when the task waits forever): a restarted task's patience
+    #: re-arms at the restart instant, not at ``arrival``.
+    deadline: float | None = None
     configured_at: float | None = None
     started_at: float | None = None
     finished_at: float | None = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qos import QOS_CLASSES, QosClass, get_qos
+from .qos import QosClass, get_qos
 
 #: Default bound on the kernel's waiting queue before the door sheds
 #: load (tasks, across all tenants).
@@ -184,17 +184,12 @@ class AdmissionController:
     def from_state(cls, state: dict) -> "AdmissionController":
         """Rebuild a controller from :meth:`export_state` output."""
         controller = cls(max_queue_depth=int(state["max_queue_depth"]))
-        for row in state.get("buckets", []):
+        for row in state["buckets"]:
             controller.buckets[(row["tenant"], row["qos"])] = TokenBucket(
                 rate=float(row["rate"]), burst=float(row["burst"]),
                 tokens=float(row["tokens"]),
                 updated_at=float(row["updated_at"]),
             )
-        for tenant, counters in state.get("stats", {}).items():
+        for tenant, counters in state["stats"].items():
             controller.stats[tenant] = TenantStats(**counters)
         return controller
-
-
-def class_names() -> tuple[str, ...]:
-    """The QoS classes the door understands (re-exported for the API)."""
-    return tuple(QOS_CLASSES)

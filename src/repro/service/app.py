@@ -20,8 +20,8 @@ Division of labour:
   sequence, records telemetry samples, and supports cancelling queued
   *and* running work;
 * :class:`ReproService` — the service: the admission door
-  (:mod:`repro.service.admission`) in front of the engine, per-task
-  tenant/QoS metadata, and the checkpoint hooks
+  (:mod:`repro.service.admission`) in front of the engine, the task
+  status views, and the checkpoint hooks
   (:mod:`repro.service.checkpoint`).
 
 Everything here is synchronous and deterministic; the asyncio HTTP
@@ -50,6 +50,7 @@ from repro.fleet.manager import FleetManager
 from repro.perf import PERF
 from repro.sched.scheduler import OnlineTaskScheduler
 from repro.sched.tasks import Task, TaskState
+from repro.sched.trace import qos_of_priority
 
 from .admission import DEFAULT_MAX_QUEUE_DEPTH, AdmissionController
 from .qos import get_qos
@@ -106,9 +107,7 @@ class ServiceConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ServiceConfig":
         """Rebuild a config from :meth:`to_dict` output."""
-        data = dict(data)
-        data["fleet_devices"] = tuple(data.get("fleet_devices", ()))
-        return cls(**data)
+        return cls(**dict(data, fleet_devices=tuple(data["fleet_devices"])))
 
 
 def build_manager(config: ServiceConfig) -> FleetManager:
@@ -175,8 +174,6 @@ class ServiceEngine(OnlineTaskScheduler):
                          prefetch_mode=prefetch)
         #: every task ever submitted, by id (the service's registry).
         self.tasks: dict[int, Task] = {}
-        #: task id -> fleet member that hosts/hosted it (admitted only).
-        self.devices: dict[int, int] = {}
         #: ordered life-cycle event stream (see :meth:`_journal`).
         self.journal: list[dict] = []
         #: telemetry sample stream (see :meth:`_record_telemetry`).
@@ -195,8 +192,10 @@ class ServiceEngine(OnlineTaskScheduler):
         return self.events.now
 
     def submit(self, height: int, width: int, exec_seconds: float, *,
-               max_wait: float | None = None, priority: int = 0) -> Task:
-        """Accept one task at the current instant and try to admit it.
+               max_wait: float | None = None, priority: int = 0,
+               tenant: str = "default") -> Task:
+        """Accept one task of ``tenant`` at the current instant and try
+        to admit it.
 
         The task arrives *now* (an always-on service has no future
         arrival table); admission, and possibly configuration, happen
@@ -212,6 +211,7 @@ class ServiceEngine(OnlineTaskScheduler):
             arrival=self.now,
             max_wait=max_wait,
             priority=priority,
+            tenant=tenant,
         )
         self._next_task_id += 1
         self.tasks[task.task_id] = task
@@ -243,10 +243,6 @@ class ServiceEngine(OnlineTaskScheduler):
         task = self.tasks.get(task_id)
         if task is None:
             raise KeyError(f"unknown task {task_id}")
-        # Cancelling ends the task's patience: its pending timeout finds
-        # the task terminal and returns before it could drop these.
-        self._queue_epochs.pop(task_id, None)
-        self._queue_deadlines.pop(task_id, None)
         if task.state is TaskState.QUEUED:
             task.state = TaskState.CANCELLED
             self._journal("cancelled", task)
@@ -278,16 +274,14 @@ class ServiceEngine(OnlineTaskScheduler):
     def _record_telemetry(self) -> None:
         """Append one telemetry sample (after a kernel sample) and fan
         it out to the registered listeners."""
-        metrics = self.metrics
+        fragmentation, utilization, members = self.metrics.latest_sample
         entry = {
             "t": self.now,
             "waiting": len(self.kernel.queue),
             "running": len(self.kernel.running),
-            "fragmentation": (metrics.fragmentation_samples[-1]
-                              if metrics.fragmentation_samples else 0.0),
-            "utilization": (metrics.utilization_samples[-1]
-                            if metrics.utilization_samples else 0.0),
-            "members": [list(pair) for pair in self.kernel.member_samples],
+            "fragmentation": fragmentation,
+            "utilization": utilization,
+            "members": [list(pair) for pair in members],
         }
         self.telemetry.append(entry)
         for listener in list(self.telemetry_listeners):
@@ -296,10 +290,9 @@ class ServiceEngine(OnlineTaskScheduler):
     # -- scheduler hook overrides -------------------------------------------
 
     def _on_admitted(self, task: Task, outcome: PlacementOutcome) -> None:
-        """Journal the admission (and its hosting device) on top of the
-        batch scheduler's configuration/execution bookkeeping."""
+        """Journal the admission on top of the batch scheduler's
+        configuration/execution bookkeeping."""
         super()._on_admitted(task, outcome)
-        self.devices[task.task_id] = outcome.device
         self._journal("admitted", task)
         self._record_telemetry()
 
@@ -309,30 +302,24 @@ class ServiceEngine(OnlineTaskScheduler):
         self._journal("finished", task)
         self._record_telemetry()
 
-    def _on_timeout(self, task: Task, epoch: int | None = None) -> None:
+    def _on_timeout(self, task: Task, queue_round: int) -> None:
         """Journal a patience rejection (no-op if no longer queued)."""
         was_queued = task.state is TaskState.QUEUED
-        super()._on_timeout(task, epoch)
+        super()._on_timeout(task, queue_round)
         if was_queued and task.state is TaskState.REJECTED:
             self._journal("rejected", task)
 
     def _on_recovered(self, task: Task, fate: str,
                       outcome: PlacementOutcome) -> None:
         """Journal a fault recovery under its fate (``relocated``,
-        ``restarted`` or ``dropped``) on top of the batch bookkeeping:
-        a relocated task's hosting device becomes the accepting member,
-        the others lose theirs."""
+        ``restarted`` or ``dropped``) on top of the batch bookkeeping."""
         super()._on_recovered(task, fate, outcome)
-        if fate == "relocated":
-            self.devices[task.task_id] = outcome.device
-        else:
-            self.devices.pop(task.task_id, None)
         self._journal(fate, task)
         self._record_telemetry()
 
 
 class ReproService:
-    """The always-on admission service: door + engine + metadata.
+    """The always-on admission service: the door in front of the engine.
 
     Construct with a :class:`ServiceConfig` (or keyword overrides for
     one), then drive it with :meth:`submit` / :meth:`advance` /
@@ -357,8 +344,6 @@ class ReproService:
         self.door = AdmissionController(
             max_queue_depth=config.max_queue_depth
         )
-        #: task id -> (tenant, qos class name) submission metadata.
-        self.task_meta: dict[int, tuple[str, str]] = {}
 
     # -- the front door ------------------------------------------------------
 
@@ -407,8 +392,8 @@ class ReproService:
             int(height), int(width), float(exec_seconds),
             max_wait=patience,
             priority=decision.qos.priority,
+            tenant=tenant,
         )
-        self.task_meta[task.task_id] = (tenant, decision.qos.name)
         view = self.status(task.task_id)
         view["admitted"] = True
         return view
@@ -471,26 +456,25 @@ class ReproService:
         """Status view of one task (:class:`KeyError` on unknown ids).
 
         ``rect`` is the task's current region: a rearrangement that
-        moves a running task moves its record too.
+        moves a running task moves its record too.  ``qos`` is the
+        class of the task's priority.
         """
         task = self.engine.tasks.get(task_id)
         if task is None:
             raise KeyError(f"unknown task {task_id}")
-        tenant, qos = self.task_meta.get(task_id, ("default",
-                                                   "best-effort"))
         rect = task.rect
         return {
             "task": task.task_id,
             "state": self._state(task).value,
-            "tenant": tenant,
-            "qos": qos,
+            "tenant": task.tenant,
+            "qos": qos_of_priority(task.priority),
             "height": task.height,
             "width": task.width,
             "exec_seconds": task.exec_seconds,
             "arrival": task.arrival,
             "max_wait": task.max_wait,
             "priority": task.priority,
-            "device": self.engine.devices.get(task.task_id),
+            "device": task.device,
             "rect": ([rect.row, rect.col, rect.height, rect.width]
                      if rect is not None else None),
             "configured_at": task.configured_at,

@@ -3,9 +3,11 @@
 A service run is deterministic — every state transition is a function
 of the submissions and the simulated clock — so its full state fits in
 a plain JSON document: the :class:`~repro.service.app.ServiceConfig`
-(which rebuilds the manager/kernel stack), every registered task, the
-waiting queue in discipline order, the in-flight executions with their
-finish instants, the per-device port horizons, the metrics, the
+(which rebuilds the manager/kernel stack), every registered task
+(with its region, host member and tenant), the waiting queue in
+discipline order with each entry's patience deadline, the in-flight
+executions with their finish instants, the per-device port horizons,
+the metrics (running totals and the latest telemetry sample), the
 admission door's buckets and counters, and the journal/telemetry
 streams recorded so far.
 
@@ -47,14 +49,12 @@ from .admission import AdmissionController
 from .app import ReproService, ServiceConfig
 
 #: Snapshot document version (bumped on incompatible layout changes).
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
-def _task_row(service: ReproService, task: Task) -> dict:
-    """One task's serialized registry row."""
-    tenant, qos = service.task_meta.get(
-        task.task_id, ("default", "best-effort")
-    )
+def _task_row(task: Task) -> dict:
+    """One task's serialized registry row (its QoS class is the one
+    its ``priority`` maps to)."""
     rect = task.rect
     return {
         "task": task.task_id,
@@ -71,9 +71,8 @@ def _task_row(service: ReproService, task: Task) -> dict:
         "started_at": task.started_at,
         "finished_at": task.finished_at,
         "halted_seconds": task.halted_seconds,
-        "device": service.engine.devices.get(task.task_id),
-        "tenant": tenant,
-        "qos": qos,
+        "device": task.device,
+        "tenant": task.tenant,
     }
 
 
@@ -86,17 +85,6 @@ def snapshot(service: ReproService) -> dict:
     """
     engine = service.engine
     kernel = engine.kernel
-    running = []
-    for owner in sorted(kernel.running):
-        # The kernel moves a running task's rect with every
-        # rearrangement, so it is the task's current region.
-        entry = kernel.running[owner]
-        rect = entry.item.rect
-        running.append({
-            "task": owner,
-            "finish_at": entry.handle.time,
-            "rect": [rect.row, rect.col, rect.height, rect.width],
-        })
     return {
         "version": SNAPSHOT_VERSION,
         "config": service.config.to_dict(),
@@ -104,14 +92,19 @@ def snapshot(service: ReproService) -> dict:
         "next_task_id": engine._next_task_id,
         "journal_seq": engine._journal_seq,
         "tasks": [
-            _task_row(service, engine.tasks[task_id])
+            _task_row(engine.tasks[task_id])
             for task_id in sorted(engine.tasks)
         ],
         "queued": [
-            item.task_id
-            for item in kernel.queue.ordered(kernel.events.now)
+            {"task": task.task_id, "deadline": task.deadline}
+            for task in kernel.queue.ordered(kernel.events.now)
         ],
-        "running": running,
+        # The kernel moves a running task's rect with every
+        # rearrangement, so its task row holds the current region.
+        "running": [
+            {"task": owner, "finish_at": kernel.running[owner].handle.time}
+            for owner in sorted(kernel.running)
+        ],
         "ports": [port.export_state() for port in kernel.ports],
         "defrag_last_attempt": [
             member.defrag_policy._last_attempt
@@ -125,15 +118,6 @@ def snapshot(service: ReproService) -> dict:
         # Fault-injection state (None until a fault is injected): lost
         # members, active stuck-at blockers and their heal instants.
         "faults": kernel.faults.export_state(),
-        # True patience deadlines of the queued tasks: a fault-restarted
-        # task's patience re-armed at the restart instant, so
-        # arrival + max_wait would restore the wrong deadline.
-        "queue_deadlines": {
-            str(task_id): deadline
-            for task_id, deadline in sorted(
-                engine._queue_deadlines.items()
-            )
-        },
         "door": service.door.export_state(),
         "journal": list(engine.journal),
         "telemetry": list(engine.telemetry),
@@ -150,6 +134,7 @@ def _load_task(row: dict) -> Task:
         arrival=row["arrival"],
         max_wait=row["max_wait"],
         priority=row["priority"],
+        tenant=row["tenant"],
     )
     task.state = TaskState(row["state"])
     if row["rect"] is not None:
@@ -158,6 +143,7 @@ def _load_task(row: dict) -> Task:
     task.started_at = row["started_at"]
     task.finished_at = row["finished_at"]
     task.halted_seconds = row["halted_seconds"]
+    task.device = row["device"]
     return task
 
 
@@ -169,7 +155,8 @@ def restore(state: dict) -> ReproService:
     original instants, queued work keeps its discipline order and its
     original patience deadlines, and the journal/telemetry streams
     continue with the next sequence numbers — the round-trip identity
-    the tests pin.
+    the tests pin.  A document of another version raises
+    :class:`ValueError`.
     """
     if state.get("version") != SNAPSHOT_VERSION:
         raise ValueError(
@@ -188,23 +175,16 @@ def restore(state: dict) -> ReproService:
     for row in state["tasks"]:
         task = _load_task(row)
         engine.tasks[task.task_id] = task
-        if row["device"] is not None:
-            engine.devices[task.task_id] = row["device"]
-        service.task_meta[task.task_id] = (row["tenant"], row["qos"])
 
     # In-flight executions: re-allocate their regions and re-schedule
     # their finish events, ordered by (finish, id) — distinct instants
     # in practice, so event order matches the uninterrupted run (and a
     # tie would be harmless anyway: timeout/finish collisions on the
-    # same task are no-ops in whichever order they fire).  The running
-    # row holds the task's current region, so it sets ``task.rect``
-    # (an older build's task row may hold the placement-time one).
+    # same task are no-ops in whichever order they fire).
     for row in sorted(state["running"],
                       key=lambda r: (r["finish_at"], r["task"])):
         task = engine.tasks[row["task"]]
-        task.rect = Rect(*row["rect"])
-        kernel.manager.adopt(task.task_id, engine.devices[task.task_id],
-                             task.rect)
+        kernel.manager.adopt(task.task_id, task.device, task.rect)
         kernel.start_running(
             task.task_id, float(row["finish_at"]),
             lambda t=task: engine._on_finish(t), task,
@@ -214,28 +194,23 @@ def restore(state: dict) -> ReproService:
     # sequence numbers preserve relative order under every discipline),
     # stamped with the original arrival so age-sensitive disciplines
     # (backfill's max_age) see the true queueing times.
-    queued = [engine.tasks[task_id] for task_id in state["queued"]]
-    for task in queued:
+    patient = []
+    for row in state["queued"]:
+        task = engine.tasks[row["task"]]
         kernel.queue.push(task, priority=task.priority, area=task.area,
                           now=task.arrival)
-    # ... and their patience deadlines (strictly in the future: a due
-    # timeout would have fired before the snapshot's quiescent point).
-    # The snapshot's recorded deadline wins over arrival + max_wait — a
-    # fault-restarted task re-armed its patience at the restart instant
-    # (older snapshots without the key never restarted anything).
-    recorded = state.get("queue_deadlines", {})
-    for deadline, _task_id, task in sorted(
-        (float(recorded.get(str(task.task_id),
-                            task.arrival + task.max_wait)),
-         task.task_id, task)
-        for task in queued
-        if task.max_wait is not None
-    ):
-        epoch = engine._queue_epochs.setdefault(task.task_id, 1)
-        engine._queue_deadlines[task.task_id] = deadline
-        kernel.events.at(
-            deadline, lambda t=task, e=epoch: engine._on_timeout(t, e)
-        )
+        task.deadline = row["deadline"]
+        if task.deadline is not None:
+            patient.append(task)
+    # ... and their patience timeouts, in deadline order (each strictly
+    # in the future: a due timeout would have fired before the
+    # snapshot's quiescent point).  The recorded deadline is not always
+    # arrival + max_wait: a fault-restarted task re-armed its patience
+    # at the restart instant.  A restored service holds no stale
+    # timeout of an earlier queueing round, so each is armed for the
+    # task's round as it stands.
+    for task in sorted(patient, key=lambda t: (t.deadline, t.task_id)):
+        engine.arm_timeout(task)
 
     for port, port_state in zip(kernel.ports, state["ports"]):
         port.restore_state(port_state)
@@ -243,8 +218,8 @@ def restore(state: dict) -> ReproService:
                             state["defrag_last_attempt"]):
         member.defrag_policy._last_attempt = last
     kernel.metrics = ScheduleMetrics(**state["metrics"])
-    kernel.restore_prefetch_state(state.get("prefetch"))
-    kernel.faults.restore_state(state.get("faults"))
+    kernel.restore_prefetch_state(state["prefetch"])
+    kernel.faults.restore_state(state["faults"])
     service.door = AdmissionController.from_state(state["door"])
 
     kernel.resume()

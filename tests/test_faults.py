@@ -12,19 +12,21 @@ What is pinned, layer by layer:
   host the footprint — plus the acceptance scenario: killing 1 of 4
   members mid-surge recovers every displaced task; a stuck-at outbreak
   displaces the tasks on its sites wherever a rearrangement moved them;
-* **the epoch-guard regression**: the latent bug the kill sweep
+* **the queueing-round regression**: the latent bug the kill sweep
   surfaced — a fault-restarted task being rejected by the *stale*
   patience timeout of its first queueing round — stays fixed;
 * **service chaos** (:meth:`repro.service.app.ReproService.inject_fault`
   and ``POST /faults``): faults journal their displacements, a
-  malformed fault is refused before any state moves, and a checkpoint
+  malformed fault is refused before any state moves, a checkpoint
   cut *mid-outbreak* restores bit-identically (hypothesis sweeps the
-  cut instant).
+  cut instant), and a fault injected right after a restore records
+  what the uninterrupted run records.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.campaign.replay import service_trace
 from repro.core.manager import LogicSpaceManager
 from repro.device.devices import device
 from repro.device.fabric import Fabric
@@ -296,7 +298,7 @@ def test_stale_patience_timeout_cannot_reject_a_restarted_task():
     (cancelling would perturb the event stream the goldens pin).  When
     a fault restarts the task, its patience re-arms at the fault
     instant — but the *original* timeout is still pending, and before
-    the epoch guard it saw ``state == QUEUED`` again and rejected the
+    the round guard it saw ``state == QUEUED`` again and rejected the
     restarted task at ``arrival + max_wait``, ahead of its real
     deadline.
 
@@ -456,7 +458,8 @@ def test_service_member_death_journals_the_relocation():
         "finished", "relocated",
     ]
     # The survivor hosts the relocated task now.
-    assert service.engine.devices[2] == 0
+    assert service.engine.tasks[2].device == 0
+    assert service.status(2)["device"] == 0
     service.settle()
     assert service.engine.tasks[2].state is TaskState.FINISHED
     stats = service.stats()
@@ -485,6 +488,31 @@ def test_service_checkpoint_mid_member_death_is_bit_identical():
     restored.settle()
     assert restored.engine.journal == service.engine.journal
     assert restored.engine.telemetry == service.engine.telemetry
+
+
+def test_member_death_after_a_restore_matches_the_uninterrupted_run():
+    """A service restored mid-traffic and then faulted records what the
+    uninterrupted run records.  Fault recovery journals each displaced
+    task (and records telemetry) before it samples again, so that
+    telemetry carries the latest sample taken before the restore: the
+    checkpoint must hold its per-member readings, or the restored run
+    writes ``members: []`` where the original wrote both members."""
+    trace = service_trace("diurnal", seed=3, n=80)
+    original = ReproService(ServiceConfig(device="XC2S15", fleet_size=2,
+                                          queue="priority"))
+    for submission in trace[:40]:
+        original.submit(**submission)
+    restored = restore(snapshot(original))
+    summaries = []
+    for service in (original, restored):
+        summaries.append(service.inject_fault("member-death", member=1))
+        for submission in trace[40:]:
+            service.submit(**submission)
+        service.settle()
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["restarted"], "expected displaced work"
+    assert restored.engine.journal == original.engine.journal
+    assert restored.engine.telemetry == original.engine.telemetry
 
 
 def test_post_faults_over_http():

@@ -117,7 +117,7 @@ def test_release_routes_to_the_hosting_member():
     out_a = fleet.request(3, 3, 1)
     out_b = fleet.request(3, 3, 2)
     assert (out_a.device, out_b.device) == (0, 1)
-    assert fleet.device_of(2) == 1
+    assert fleet.residents_of(1) == [2]
     fleet.release(2)
     assert fleet.members[1].fabric.free_site_count() == \
         fleet.members[1].fabric.device.clb_count
@@ -131,8 +131,9 @@ def test_failed_request_reports_failure_without_owner_entry():
     rows = fleet.members[0].fabric.device.clb_rows
     outcome = fleet.request(rows + 1, 2, 7)
     assert not outcome.success
+    assert fleet.residents_of(0) == fleet.residents_of(1) == []
     with pytest.raises(KeyError):
-        fleet.device_of(7)
+        fleet.release(7)
 
 
 def test_heterogeneous_fleet_places_oversized_on_the_big_member():
@@ -305,14 +306,17 @@ def test_kernel_samples_heterogeneous_fleet_site_weighted():
     assert fleet.request(10, 10, 1).device == 1  # too big for XC2S15
     kernel = SchedulingKernel(fleet)
     kernel.sample()
-    assert len(kernel.member_samples) == 2
+    frag_sample, util_sample, readings = kernel.metrics.latest_sample
+    assert len(readings) == 2
     sites = [m.fabric.device.clb_count for m in fleet.members]
     frag = [m.fragmentation() for m in fleet.members]
     util = [m.utilization() for m in fleet.members]
     expected_frag = (frag[0] * sites[0] + frag[1] * sites[1]) / sum(sites)
     expected_util = (util[0] * sites[0] + util[1] * sites[1]) / sum(sites)
-    assert kernel.metrics.fragmentation_samples == [expected_frag]
-    assert kernel.metrics.utilization_samples == [expected_util]
+    assert (frag_sample, util_sample) == (expected_frag, expected_util)
+    assert kernel.metrics.sample_count == 1
+    assert kernel.metrics.fragmentation_total == expected_frag
+    assert kernel.metrics.utilization_total == expected_util
     # Member 0 is idle, so echoing it would report zero utilization.
     assert util[0] == 0.0 and expected_util > 0.0
 
@@ -327,8 +331,7 @@ def test_kernel_samples_single_member_fleet_verbatim():
     kernel = SchedulingKernel(fleet)
     kernel.sample()
     member = fleet.members[0]
-    assert kernel.member_samples == [
-        (member.fragmentation(), member.utilization())
-    ]
-    assert kernel.metrics.fragmentation_samples == [member.fragmentation()]
-    assert kernel.metrics.utilization_samples == [member.utilization()]
+    reading = (member.fragmentation(), member.utilization())
+    assert kernel.metrics.latest_sample == (*reading, [reading])
+    assert kernel.metrics.mean_fragmentation == reading[0]
+    assert kernel.metrics.mean_utilization == reading[1]

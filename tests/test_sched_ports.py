@@ -154,10 +154,10 @@ class TestIcapModel:
         clone.restore_state(model.export_state())
         assert clone.free_at == model.free_at
         assert clone.busy_seconds == model.busy_seconds
-        # Pre-lane snapshots carried one folded free_at horizon.
+        # A pre-lane state (one folded free_at horizon) is refused.
         legacy = IcapPortModel(EventQueue())
-        legacy.restore_state({"free_at": 7.5, "busy_seconds": 2.0})
-        assert legacy.free_at == 7.5 and legacy.busy_seconds == 2.0
+        with pytest.raises(KeyError):
+            legacy.restore_state({"free_at": 7.5, "busy_seconds": 2.0})
 
     def test_icap_beats_serial_on_a_defrag_heavy_scenario(self):
         """End to end through the kernel: on a relocation-heavy stream

@@ -134,11 +134,11 @@ class TestTimeoutInteraction:
         sched = OnlineTaskScheduler(make_manager())
         ghost = Task(99, 4, 4, 1.0, arrival=0.0, max_wait=1.0)
         ghost.state = TaskState.QUEUED  # queued, but never enqueued
-        sched._on_timeout(ghost)
+        sched._on_timeout(ghost, ghost.queue_round)
         assert ghost.state is TaskState.REJECTED
         assert sched.metrics.rejected == 1
         # A second firing must not double-count.
-        sched._on_timeout(ghost)
+        sched._on_timeout(ghost, ghost.queue_round)
         assert sched.metrics.rejected == 1
 
     @pytest.mark.parametrize("queue", QUEUE_NAMES)

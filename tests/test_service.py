@@ -21,6 +21,7 @@ Four claims are pinned here:
   rejected — none vanish).
 """
 
+import json
 import math
 
 import pytest
@@ -253,20 +254,24 @@ def test_cancel_running_task_frees_space_and_wakes_queue():
 
 
 def test_cancel_leaves_no_patience_entries_behind():
-    """Cancelled tasks drop their patience epoch and deadline, so a
-    settled service's checkpoint lists no queue deadlines."""
+    """Cancelled queued tasks leave the queue with their patience
+    deadlines: a settled service's checkpoint holds no queued entry,
+    and restoring it arms no timeout."""
     svc = small_service()
     hog = svc.submit(8, 12, 4.0, qos="gold")
     queued = [svc.submit(2, 2, 1.0, qos="best-effort")["task"]
               for _ in range(3)]
+    state = snapshot(svc)
+    assert [row["task"] for row in state["queued"]] == queued
+    assert all(row["deadline"] == 2.0 for row in state["queued"])
     for task_id in queued:
         svc.cancel(task_id)
     svc.cancel(hog["task"])
     svc.settle()
-    engine = svc.engine
-    assert engine._queue_epochs == {}
-    assert engine._queue_deadlines == {}
-    assert snapshot(svc)["queue_deadlines"] == {}
+    state = snapshot(svc)
+    assert state["queued"] == [] and state["running"] == []
+    thawed = restore(state)
+    assert thawed.engine.events.pending == 0
 
 
 def test_cancel_rejects_terminal_and_unknown_tasks():
@@ -484,12 +489,10 @@ def test_checkpoint_roundtrip_carries_prefetch_state(cut):
 
 def test_never_mode_snapshot_has_no_prefetch_state():
     """prefetch="never" services carry an explicit null in the
-    snapshot (and restore accepts pre-prefetch snapshots without the
-    key at all)."""
+    snapshot, and restore builds no cache from it."""
     svc = small_service()
     state = snapshot(svc)
     assert state["prefetch"] is None
-    del state["prefetch"]
     thawed = restore(state)
     assert thawed.engine.kernel.caches is None
 
@@ -499,7 +502,7 @@ def test_snapshot_mid_flight_captures_queue_and_running_work():
     for sub in trace[:40]:
         svc.submit(**sub)
     state = snapshot(svc)
-    assert state["version"] == 1
+    assert state["version"] == 2
     assert state["running"], "expected in-flight work at the cut"
     # The snapshot is read-only: the service keeps running afterwards.
     svc.settle()
@@ -520,9 +523,28 @@ def test_snapshot_is_json_clean_and_file_roundtrips(tmp_path):
 def test_restore_refuses_unknown_snapshot_versions():
     svc = small_service()
     state = snapshot(svc)
-    state["version"] = 99
-    with pytest.raises(ValueError):
-        restore(state)
+    # Version 1 kept task facts in side tables and per-event metric
+    # lists; its layout is not read any more.
+    for version in (1, 99):
+        state["version"] = version
+        with pytest.raises(ValueError, match="unsupported snapshot"):
+            restore(state)
+
+
+def test_checkpoint_metrics_stay_bounded_as_the_service_runs():
+    """The checkpoint's metrics are running totals and the latest
+    sample, not per-event lists: after 3,000 diurnal submissions they
+    are within a few hundred bytes of their size after 300."""
+    trace = service_trace("diurnal", seed=1, n=3000, peak_rate=20.0,
+                          tenants=("alice", "bob", "carol"),
+                          priority_levels=3)
+    svc = ReproService(ServiceConfig(fleet_size=2, max_queue_depth=16))
+    sizes = []
+    for count, submission in enumerate(trace, 1):
+        svc.submit(**submission)
+        if count in (300, 3000):
+            sizes.append(len(json.dumps(snapshot(svc)["metrics"])))
+    assert abs(sizes[1] - sizes[0]) < 300, sizes
 
 
 def test_restored_door_remembers_bucket_levels():
@@ -553,8 +575,7 @@ def test_flash_crowd_replay_accounting_is_conservative():
     assert stats["waiting"] == 0 and stats["running"] == 0
     door = sum(t["submitted"] for t in stats["tenants"].values())
     assert door == 150
-    assert all(math.isfinite(w) for w in
-               svc.engine.metrics.waiting_seconds)
+    assert math.isfinite(svc.engine.metrics.waiting_total)
 
 
 def test_replay_trace_is_deterministic():

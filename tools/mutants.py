@@ -250,6 +250,37 @@ MUTANTS = (
                "test_non_positive_fault_duration_is_a_400_that_moves"
                "_nothing",),
     ),
+    # The checkpoint keeps the fleet-wide sample and drops the
+    # per-member readings, which is what snapshots once did.
+    Mutant(
+        name="member-sample-not-checkpointed",
+        path="src/repro/service/checkpoint.py",
+        original='        "metrics": asdict(kernel.metrics),\n',
+        mutated=('        "metrics": dict(asdict(kernel.metrics),'
+                 ' latest_sample=kernel.metrics.latest_sample[:2]'
+                 ' + ((),)),\n'),
+        tests=("tests/test_faults.py::"
+               "test_member_death_after_a_restore_matches_the"
+               "_uninterrupted_run",),
+    ),
+    Mutant(
+        name="stale-patience-timeout-unguarded",
+        path="src/repro/sched/scheduler.py",
+        original="        if queue_round != task.queue_round:\n",
+        mutated="        if False:\n",
+        tests=("tests/test_faults.py::"
+               "test_stale_patience_timeout_cannot_reject_a_restarted_task",),
+    ),
+    Mutant(
+        name="relocation-keeps-the-dead-member",
+        path="src/repro/sched/scheduler.py",
+        original=('task.device = outcome.device if fate == "relocated" '
+                  'else None'),
+        mutated=('task.device = task.device if fate == "relocated" '
+                 'else None'),
+        tests=("tests/test_faults.py::"
+               "test_service_member_death_journals_the_relocation",),
+    ),
 )
 
 
