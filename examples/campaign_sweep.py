@@ -38,8 +38,8 @@ def main() -> None:
     results = CampaignResult(run_campaign(specs, jobs=4))
 
     results.summary_table().show()
-    results.policy_table("mean_waiting").show()
-    results.policy_table("halted_seconds").show()
+    results.pivot_table("policy", "mean_waiting").show()
+    results.pivot_table("policy", "halted_seconds").show()
 
     # The paper's contribution, read off the aggregate: concurrent
     # rearrangement never halts anything.

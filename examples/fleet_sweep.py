@@ -41,9 +41,9 @@ def main() -> None:
 
     results = CampaignResult(run_campaign(specs, jobs=4))
 
-    results.fleet_table("rejected").show()
-    results.fleet_table("mean_waiting").show()
-    results.device_policy_table("rejected").show()
+    results.pivot_table("fleet_size", "rejected").show()
+    results.pivot_table("fleet_size", "mean_waiting").show()
+    results.pivot_table("device_policy", "rejected").show()
 
     # Adding fabrics absorbs the surge for every selection policy.
     rejected = results.group_means("rejected")

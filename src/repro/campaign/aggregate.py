@@ -7,9 +7,9 @@ per grid point; this module folds them for consumption through
 * :meth:`CampaignResult.summary_table` — mean metrics grouped over
   seeds, one row per (device, workload, policy) cell, rendered with the
   shared ASCII :class:`~repro.analysis.reporting.Table`;
-* :meth:`CampaignResult.policy_table` — policy-vs-policy comparison of
-  one metric across the grid (the defrag-study shape: NONE vs HALT vs
-  CONCURRENT side by side);
+* :meth:`CampaignResult.pivot_table` — one axis side by side for one
+  metric across the grid (on ``policy``, the defrag-study shape: NONE
+  vs HALT vs CONCURRENT side by side);
 * :meth:`CampaignResult.to_csv` / :meth:`CampaignResult.to_json` — flat
   per-run exports for external tooling.
 """
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.analysis.reporting import Table
 from repro.analysis.stats import mean
-from repro.sched.workload import get_workload
+from repro.stack import AXES, AXIS, HEADLINE
 
 from .runner import ScenarioResult
 
@@ -35,48 +35,22 @@ SUMMARY_METRICS = (
 
 
 #: Non-seed axes of an aggregation cell, in the column order of the
-#: tables (policy last so policy duels read across a row).
-GROUP_AXES = ("device", "workload", "fit", "port_kind", "free_space",
-              "defrag", "queue", "ports", "fleet_size", "fleet_devices",
-              "device_policy", "prefetch", "faults", "policy")
+#: tables: :data:`repro.stack.AXES` order, policy last so policy duels
+#: read across a row.
+GROUP_AXES = tuple(axis.field for axis in AXES
+                   if axis.header and axis.field != HEADLINE) + (HEADLINE,)
 #: Table headers matching GROUP_AXES (``port_kind`` is shown as "port").
-GROUP_HEADERS = ("device", "workload", "fit", "port", "free_space",
-                 "defrag", "queue", "ports", "fleet", "members",
-                 "dev_policy", "prefetch", "faults", "policy")
-
-#: Axis columns :meth:`ScenarioSpec.to_dict` omits at their default
-#: value (keeps golden row shapes stable); exports back-fill them.
-SPARSE_AXES = ("queue", "ports", "fleet_size", "device_policy",
-               "fleet_devices", "prefetch", "faults")
-
-#: Spec columns always present in a row, in export order.
-BASE_AXES = ("device", "policy", "workload", "seed", "fit", "port_kind",
-             "free_space", "defrag")
-
-
-def _sparse_value(spec, name: str):
-    """Row value of a sparse axis, read off the spec.
-
-    ``fleet_devices`` is flattened through the spec's own
-    :meth:`~repro.campaign.spec.ScenarioSpec.fleet_label` — the string
-    :meth:`~repro.campaign.spec.ScenarioSpec.to_dict` emits — so
-    back-filled rows stay scalar-valued, CSV-safe, and identical to
-    the sparse-emitted form.
-    """
-    if name == "fleet_devices":
-        return spec.fleet_label()
-    return getattr(spec, name)
+GROUP_HEADERS = tuple(AXIS[name].header for name in GROUP_AXES)
 
 
 def _group_key(result: ScenarioResult) -> tuple[str, ...]:
     """Aggregation cell of one result: every axis except the seed, so
     only seeds are ever averaged together — ``fleet_devices`` included,
     so a heterogeneous fleet never pools with a homogeneous one of the
-    same size.  Values are str()-ed (via the same sparse formatting the
-    row exports use) so the integer ``fleet_size`` and the composition
-    tuple render like every other axis."""
-    spec = result.spec
-    return tuple(str(_sparse_value(spec, axis)) for axis in GROUP_AXES)
+    same size.  Values are the row cells, str()-ed so the integer
+    ``fleet_size`` renders like every other axis."""
+    cells = result.spec.cells()
+    return tuple(str(cells[axis]) for axis in GROUP_AXES)
 
 
 @dataclass
@@ -91,43 +65,27 @@ class CampaignResult:
     def rows(self) -> list[dict]:
         """Flat per-run dicts (spec axes + metric columns).
 
-        Campaigns sweeping a sparse axis (``queue``/``ports``) mix rows
-        with and without those columns — here every row is rebuilt to
-        the explicit column order ``BASE_AXES`` + swept sparse axes +
-        ``METRIC_FIELDS``, with sparse values read off the spec (whose
-        attribute always exists), so exports stay rectangular.
+        Every row has the columns some run of the campaign exports, in
+        field order then :attr:`ScenarioResult.ALL_METRIC_FIELDS` order:
+        a sparse axis column or metric another run emits is back-filled
+        from the spec and the result, so exports stay rectangular.
         Campaigns that never touch the sparse axes keep the historical
         column set bit-identically.
         """
-        rows = [r.to_row() for r in self.results]
-        swept = [
-            name for name in SPARSE_AXES
-            if any(name in row for row in rows)
+        axes = {name for r in self.results for name in r.spec.to_dict()}
+        metrics = {name for r in self.results for name in r.metric_columns()}
+        return [
+            {**{name: value for name, value in r.spec.cells().items()
+                if name in axes},
+             **{name: getattr(r, name)
+                for name in ScenarioResult.ALL_METRIC_FIELDS
+                if name in metrics}}
+            for r in self.results
         ]
-        swept_metrics = [
-            name for name in (ScenarioResult.PREFETCH_METRIC_FIELDS
-                              + ScenarioResult.FAULT_METRIC_FIELDS
-                              + ScenarioResult.TRACE_METRIC_FIELDS)
-            if any(name in row for row in rows)
-        ]
-        if not swept and not swept_metrics:
-            return rows
-        out = []
-        for result, row in zip(self.results, rows):
-            filled = {axis: row[axis] for axis in BASE_AXES}
-            for name in swept:
-                filled[name] = _sparse_value(result.spec, name)
-            for metric in ScenarioResult.METRIC_FIELDS:
-                filled[metric] = row[metric]
-            for metric in swept_metrics:
-                filled[metric] = getattr(result, metric)
-            out.append(filled)
-        return out
 
     def groups(self) -> dict[tuple[str, ...], list[ScenarioResult]]:
-        """Results bucketed by (device, workload, fit, port, free-space
-        engine, defrag, queue discipline, port model, fleet size, fleet
-        composition, device-selection policy, policy), seeds pooled.
+        """Results bucketed by every :data:`GROUP_AXES` axis, seeds
+        pooled.
 
         Group order follows first appearance in the run list, which the
         deterministic grid expansion fixes.
@@ -143,10 +101,7 @@ class CampaignResult:
         """Per-group mean of one metric column (prefetch, fault and
         fairness metrics included — they sit at their defaults for
         cells that never touch those axes)."""
-        known = (ScenarioResult.METRIC_FIELDS
-                 + ScenarioResult.PREFETCH_METRIC_FIELDS
-                 + ScenarioResult.FAULT_METRIC_FIELDS
-                 + ScenarioResult.TRACE_METRIC_FIELDS)
+        known = ScenarioResult.ALL_METRIC_FIELDS
         if metric not in known:
             raise KeyError(
                 f"unknown metric {metric!r}; choose from {known}"
@@ -175,8 +130,10 @@ class CampaignResult:
         one row per cell of the remaining axes, cells are seed-averaged
         ``metric``.
 
-        ``axis`` is any :data:`GROUP_AXES` entry; :meth:`policy_table`
-        and :meth:`defrag_table` are the two standard pivots.
+        ``axis`` is any :data:`GROUP_AXES` entry.  On ``policy`` this
+        is the paper's defrag-study comparison generalized to the whole
+        grid: read across a row to see what each rearrangement policy
+        buys on that cell.
         """
         if axis not in GROUP_AXES:
             raise KeyError(
@@ -204,59 +161,6 @@ class CampaignResult:
             )
         return table
 
-    def policy_table(self, metric: str = "mean_waiting") -> Table:
-        """Rearrangement policies side by side: one column per policy,
-        one row per non-policy cell, cells are seed-averaged ``metric``.
-
-        This is the paper's defrag-study comparison generalized to the
-        whole grid: read across a row to see what each rearrangement
-        policy buys on that device/workload combination.
-        """
-        return self.pivot_table("policy", metric)
-
-    def defrag_table(self, metric: str = "mean_waiting") -> Table:
-        """Defrag trigger policies side by side (never / on-failure /
-        threshold / idle): what does proactive consolidation buy on each
-        device/workload cell?"""
-        return self.pivot_table("defrag", metric)
-
-    def queue_table(self, metric: str = "mean_waiting") -> Table:
-        """Queue disciplines side by side (fifo / priority / sjf /
-        backfill): what does admission order buy on each cell?"""
-        return self.pivot_table("queue", metric)
-
-    def ports_table(self, metric: str = "mean_waiting") -> Table:
-        """Reconfiguration-port models side by side (serial / multi-N /
-        icap): what does configuration bandwidth buy on each cell?"""
-        return self.pivot_table("ports", metric)
-
-    def fleet_table(self, metric: str = "mean_waiting") -> Table:
-        """Fleet sizes side by side: one column per fleet size, one row
-        per remaining cell — with the device-selection policy among the
-        row axes, this reads rejections/waiting/utilisation against
-        fleet size *and* policy at once (the scaling question the
-        multi-fabric experiments ask)."""
-        return self.pivot_table("fleet_size", metric)
-
-    def device_policy_table(self, metric: str = "mean_waiting") -> Table:
-        """Device-selection policies side by side (first-fit /
-        round-robin / least-loaded / best-fit): what does smarter
-        device routing buy at each fleet size?"""
-        return self.pivot_table("device_policy", metric)
-
-    def prefetch_table(self, metric: str = "mean_waiting") -> Table:
-        """Prefetch modes side by side (never / cache / plan): what do
-        the resident-bitstream cache and the idle-window planner buy on
-        each cell?"""
-        return self.pivot_table("prefetch", metric)
-
-    def faults_table(self, metric: str = "relocated") -> Table:
-        """Fault plans side by side (none / kill-member / outbreak /
-        flaky-port): one column per plan, one row per remaining cell —
-        the failover study's headline view (relocated / dropped /
-        recovery_seconds across fault axes)."""
-        return self.pivot_table("faults", metric)
-
     def to_csv(self, path: str | Path) -> Path:
         """Write one CSV row per run; returns the path written."""
         path = Path(path)
@@ -278,19 +182,10 @@ class CampaignResult:
         snapshots.
         """
         path = Path(path)
-        payload = []
-        for r in self.results:
-            metrics = {m: getattr(r, m)
-                       for m in ScenarioResult.METRIC_FIELDS}
-            if r.spec.prefetch != "never":
-                for m in ScenarioResult.PREFETCH_METRIC_FIELDS:
-                    metrics[m] = getattr(r, m)
-            if r.spec.faults != "none":
-                for m in ScenarioResult.FAULT_METRIC_FIELDS:
-                    metrics[m] = getattr(r, m)
-            if get_workload(r.spec.workload).tenanted:
-                for m in ScenarioResult.TRACE_METRIC_FIELDS:
-                    metrics[m] = getattr(r, m)
-            payload.append({"spec": r.spec.to_dict(), "metrics": metrics})
+        payload = [
+            {"spec": r.spec.to_dict(),
+             "metrics": {m: getattr(r, m) for m in r.metric_columns()}}
+            for r in self.results
+        ]
         path.write_text(json.dumps(payload, indent=2) + "\n")
         return path

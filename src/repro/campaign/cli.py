@@ -25,6 +25,7 @@ from repro.sched.ports import PORT_MODEL_NAMES, normalize_port_model
 from repro.sched.prefetch import PREFETCH_MODES
 from repro.sched.queues import QUEUE_NAMES
 from repro.sched.workload import WORKLOADS
+from repro.stack import AXES, HEADLINE
 
 from .aggregate import CampaignResult
 from .runner import ScenarioResult, default_jobs, run_campaign
@@ -133,10 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker processes (default: min(8, cores); "
                                 "1 = serial)")
     execution.add_argument("--metric", default="mean_waiting",
-                           choices=(ScenarioResult.METRIC_FIELDS
-                                    + ScenarioResult.PREFETCH_METRIC_FIELDS
-                                    + ScenarioResult.FAULT_METRIC_FIELDS
-                                    + ScenarioResult.TRACE_METRIC_FIELDS),
+                           choices=ScenarioResult.ALL_METRIC_FIELDS,
                            help="metric for the policy-comparison table")
     execution.add_argument("--csv", metavar="PATH",
                            help="write per-run results as CSV")
@@ -154,12 +152,12 @@ def campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
     FILE) to whatever ``--workloads`` named, so a recorded arrival
     sequence can ride next to synthetic families in one grid.
     """
-    workloads = list(args.workloads)
-    if args.trace is not None and "trace" not in workloads:
-        workloads.append("trace")
+    grid = {axis.grid: getattr(args, axis.grid) for axis in AXES}
     params: dict[str, dict] = {}
     if args.trace is not None:
         params["trace"] = {"path": args.trace}
+        if "trace" not in args.workloads:
+            grid["workloads"] = [*args.workloads, "trace"]
     for name in args.workloads:
         family = WORKLOADS[name]
         if family.size_param:
@@ -168,24 +166,7 @@ def campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
             if args.priority_levels > 1:
                 params[name]["priority_levels"] = args.priority_levels
         # families without a size_param (fig1) are fixed scenarios.
-    return CampaignSpec(
-        devices=args.devices,
-        policies=args.policies,
-        workloads=workloads,
-        seeds=args.seeds,
-        fits=args.fits,
-        port_kinds=args.port_kinds,
-        free_spaces=args.free_spaces,
-        defrags=args.defrags,
-        queues=args.queues,
-        ports=args.ports,
-        fleet_sizes=args.fleet_sizes,
-        device_policies=args.device_policies,
-        fleet_devices=args.fleet_devices,
-        prefetches=args.prefetches,
-        faults=args.faults,
-        workload_params=params,
-    )
+    return CampaignSpec(**grid, workload_params=params)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,51 +183,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if not args.quiet:
-        print(
-            f"campaign: {len(specs)} runs "
-            f"({len(args.devices)} devices x {len(args.policies)} policies "
-            f"x {len(args.workloads)} workloads x {len(args.seeds)} seeds"
-            + (f" x {len(args.fits)} fits" if len(args.fits) > 1 else "")
-            + (f" x {len(args.port_kinds)} port kinds"
-               if len(args.port_kinds) > 1 else "")
-            + (f" x {len(args.free_spaces)} engines"
-               if len(args.free_spaces) > 1 else "")
-            + (f" x {len(args.defrags)} defrag policies"
-               if len(args.defrags) > 1 else "")
-            + (f" x {len(args.queues)} queue disciplines"
-               if len(args.queues) > 1 else "")
-            + (f" x {len(args.ports)} port models"
-               if len(args.ports) > 1 else "")
-            + (f" x {len(args.fleet_sizes)} fleet sizes"
-               if len(args.fleet_sizes) > 1 else "")
-            + (f" x {len(args.device_policies)} device policies"
-               if len(args.device_policies) > 1 else "")
-            + (f" x {len(args.prefetches)} prefetch modes"
-               if len(args.prefetches) > 1 else "")
-            + (f" x {len(args.faults)} fault plans"
-               if len(args.faults) > 1 else "")
-            + f"), {jobs} worker(s)"
-        )
+        # Required axes are always counted, optional ones once swept.
+        terms = [
+            f"{len(getattr(args, axis.grid))} {axis.label}"
+            for axis in AXES if axis.swept
+            and (axis.required or len(getattr(args, axis.grid)) > 1)
+        ]
+        print(f"campaign: {len(specs)} runs ({' x '.join(terms)}), "
+              f"{jobs} worker(s)")
     started = time.perf_counter()
     results = CampaignResult(run_campaign(specs, jobs=jobs))
     elapsed = time.perf_counter() - started
     if not args.quiet:
         results.summary_table().show()
-        results.policy_table(args.metric).show()
-        if len(args.defrags) > 1:
-            results.defrag_table(args.metric).show()
-        if len(args.queues) > 1:
-            results.queue_table(args.metric).show()
-        if len(args.ports) > 1:
-            results.ports_table(args.metric).show()
-        if len(args.fleet_sizes) > 1:
-            results.fleet_table(args.metric).show()
-        if len(args.device_policies) > 1:
-            results.device_policy_table(args.metric).show()
-        if len(args.prefetches) > 1:
-            results.prefetch_table(args.metric).show()
-        if len(args.faults) > 1:
-            results.faults_table(args.metric).show()
+        results.pivot_table(HEADLINE, args.metric).show()
+        for axis in AXES:
+            if axis.pivot and len(getattr(args, axis.grid)) > 1:
+                results.pivot_table(axis.field, args.metric).show()
         sim_seconds = sum(r.wall_seconds for r in results.results)
         print(
             f"\n{len(results)} runs in {elapsed:.2f} s wall "

@@ -22,10 +22,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.core.cost import CostModel
-from repro.core.manager import LogicSpaceManager
-from repro.device.devices import device as device_by_name
-from repro.device.fabric import Fabric
 from repro.fleet.manager import FleetManager
 from repro.sched.scheduler import (
     ApplicationFlowScheduler,
@@ -34,6 +30,7 @@ from repro.sched.scheduler import (
 )
 from repro.faults import make_fault_plan
 from repro.sched.workload import get_workload, make_workload
+from repro.stack import build_fleet
 
 from .spec import ScenarioSpec
 
@@ -109,91 +106,61 @@ class ScenarioResult:
     #: families (``WorkloadSpec.tenanted``): per-tenant fairness.
     TRACE_METRIC_FIELDS = ("tenant_fairness",)
 
-    def to_row(self) -> dict:
-        """One flat dict: spec axes first, then every metric column.
+    #: every metric column, in export order.
+    ALL_METRIC_FIELDS = (METRIC_FIELDS + PREFETCH_METRIC_FIELDS
+                         + FAULT_METRIC_FIELDS + TRACE_METRIC_FIELDS)
 
-        Prefetch metrics ride along only for non-``never`` scenarios
-        (see :attr:`PREFETCH_METRIC_FIELDS`); fault metrics only for
-        fault-injecting scenarios, fairness only for tenant-labelled
-        workloads.
-        """
+    def metric_columns(self) -> tuple[str, ...]:
+        """The metric columns this run exports, in export order: every
+        :attr:`METRIC_FIELDS` column, the prefetch columns for a
+        non-``never`` scenario, the fault columns for a fault-injecting
+        one and fairness for a tenant-labelled workload."""
+        spec = self.spec
+        columns = self.METRIC_FIELDS
+        if spec.prefetch != "never":
+            columns += self.PREFETCH_METRIC_FIELDS
+        if spec.faults != "none":
+            columns += self.FAULT_METRIC_FIELDS
+        if get_workload(spec.workload).tenanted:
+            columns += self.TRACE_METRIC_FIELDS
+        return columns
+
+    def to_row(self) -> dict:
+        """One flat dict: spec axes first (see
+        :meth:`~repro.campaign.spec.ScenarioSpec.to_dict`), then the
+        :meth:`metric_columns`."""
         row = self.spec.to_dict()
         row.pop("workload_params")
-        for name in self.METRIC_FIELDS:
+        for name in self.metric_columns():
             row[name] = getattr(self, name)
-        if self.spec.prefetch != "never":
-            for name in self.PREFETCH_METRIC_FIELDS:
-                row[name] = getattr(self, name)
-        if self.spec.faults != "none":
-            for name in self.FAULT_METRIC_FIELDS:
-                row[name] = getattr(self, name)
-        if get_workload(self.spec.workload).tenanted:
-            for name in self.TRACE_METRIC_FIELDS:
-                row[name] = getattr(self, name)
         return row
+
+
+#: ScenarioResult metrics whose ScheduleMetrics field has another name.
+_METRIC_SOURCES = {"relocated": "relocated_tasks",
+                   "restarted": "restarted_tasks",
+                   "dropped": "dropped_tasks"}
 
 
 def _from_metrics(spec: ScenarioSpec, metrics: ScheduleMetrics,
                   wall_seconds: float) -> ScenarioResult:
-    """Fold a scheduler's ScheduleMetrics into a ScenarioResult."""
-    return ScenarioResult(
-        spec=spec,
-        finished=metrics.finished,
-        rejected=metrics.rejected,
-        mean_waiting=metrics.mean_waiting,
-        mean_turnaround=metrics.mean_turnaround,
-        halted_seconds=metrics.halted_seconds,
-        port_busy_seconds=metrics.port_busy_seconds,
-        makespan=metrics.makespan,
-        rearrangements=metrics.rearrangements,
-        moves=metrics.moves,
-        proactive_defrags=metrics.proactive_defrags,
-        defrag_moves=metrics.defrag_moves,
-        defrag_port_seconds=metrics.defrag_port_seconds,
-        mean_fragmentation=metrics.mean_fragmentation,
-        mean_utilization=metrics.mean_utilization,
-        stall_seconds=metrics.stall_seconds,
-        prefetched_fraction=metrics.prefetched_fraction,
-        config_stall_seconds=metrics.config_stall_seconds,
-        prefetch_hits=metrics.prefetch_hits,
-        prefetch_loads=metrics.prefetch_loads,
-        cache_evictions=metrics.cache_evictions,
-        faults_injected=metrics.faults_injected,
-        members_lost=metrics.members_lost,
-        relocated=metrics.relocated_tasks,
-        restarted=metrics.restarted_tasks,
-        dropped=metrics.dropped_tasks,
-        recovery_seconds=metrics.recovery_seconds,
-        port_retry_seconds=metrics.port_retry_seconds,
-        tenant_fairness=metrics.tenant_fairness,
-        wall_seconds=wall_seconds,
-    )
-
-
-def _member_manager(name: str, spec: ScenarioSpec) -> LogicSpaceManager:
-    """One single-device manager for member device ``name``."""
-    dev = device_by_name(name)
-    return LogicSpaceManager(
-        Fabric(dev, free_space=spec.free_space),
-        cost_model=CostModel(dev, port_kind=spec.port_kind),
-        policy=spec.rearrange_policy,
-        fit=spec.fit,
-        defrag_policy=spec.defrag,
-    )
+    """Fold a scheduler's ScheduleMetrics into a ScenarioResult, field
+    by field."""
+    return ScenarioResult(spec=spec, wall_seconds=wall_seconds, **{
+        name: getattr(metrics, _METRIC_SOURCES.get(name, name))
+        for name in ScenarioResult.ALL_METRIC_FIELDS
+        if name != "wall_seconds"
+    })
 
 
 def build_manager(spec: ScenarioSpec) -> FleetManager:
-    """Construct the fleet of logic-space managers a spec describes.
-
-    Always a :class:`FleetManager`, one member per device — a
-    single-device scenario is a 1-member fleet, which delegates every
-    call to its manager and so reproduces the single-device event
-    stream (and the golden snapshot rows) bit for bit.
-    """
-    names = spec.fleet_device_names()
-    return FleetManager(
-        [_member_manager(name, spec) for name in names],
-        policy=spec.device_policy,
+    """The fleet of logic-space managers a spec describes (see
+    :func:`repro.stack.build_fleet`)."""
+    return build_fleet(
+        spec.device, spec.fleet_size, spec.fleet_devices,
+        rearrange=spec.policy, fit=spec.fit, defrag=spec.defrag,
+        device_policy=spec.device_policy, free_space=spec.free_space,
+        port_kind=spec.port_kind,
     )
 
 

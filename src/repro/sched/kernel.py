@@ -214,6 +214,10 @@ class SchedulingKernel:
     The optional ``on_recovered(item, fate, outcome)`` takes the
     work-specific step after fault recovery (:attr:`faults`) settled a
     displaced item's fate: ``relocated``, ``restarted`` or ``dropped``.
+    The :attr:`on_sample` attribute, when set, is called at the end of
+    every :meth:`sample`, whoever took it (an admission, a finish, a
+    proactive defrag, a fault recovery or a heal): the service records
+    one telemetry entry per sample there.
     """
 
     def __init__(
@@ -268,6 +272,9 @@ class SchedulingKernel:
         self.on_admitted = on_admitted
         self.on_space_reclaimed = on_space_reclaimed
         self.on_recovered = on_recovered
+        #: called at the end of every :meth:`sample` (see the class
+        #: docstring); the service sets it, batch runs leave it unset.
+        self.on_sample: Callable[[], None] | None = None
         #: the fault machinery (see :mod:`repro.faults.recovery`).
         self.faults = FaultRecovery(self)
         #: owner -> executing work, so moves can follow its item and
@@ -813,8 +820,8 @@ class SchedulingKernel:
         A 1-member kernel records its single manager's values verbatim
         (no float round-trip may perturb the bit-identical proxy).  The
         sample is added to the metrics' running totals and kept, with
-        the per-member readings, as ``metrics.latest_sample`` for
-        telemetry consumers.
+        the per-member readings, as ``metrics.latest_sample``, which
+        ``on_sample`` reads.
         """
         members = self.manager.members
         lost = self.manager.lost
@@ -847,3 +854,5 @@ class SchedulingKernel:
         metrics.utilization_total += util
         metrics.sample_count += 1
         metrics.latest_sample = (frag, util, samples)
+        if self.on_sample is not None:
+            self.on_sample()

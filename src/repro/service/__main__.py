@@ -30,6 +30,8 @@ import json
 import signal
 import sys
 
+from repro.stack import AXES
+
 from . import checkpoint
 from .api import ServiceAPI
 from .app import ReproService, ServiceConfig
@@ -99,23 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
-    """Translate parsed CLI flags into a :class:`ServiceConfig`."""
-    extra = {}
+    """Translate parsed CLI flags into a :class:`ServiceConfig` (each
+    stack flag's destination is its config field)."""
+    config = {axis.service: getattr(args, axis.service)
+              for axis in AXES if axis.service}
     if args.max_queue_depth is not None:
-        extra["max_queue_depth"] = args.max_queue_depth
-    return ServiceConfig(
-        device=args.device,
-        fleet_size=args.fleet_size,
-        fleet_devices=tuple(args.fleet_devices),
-        device_policy=args.device_policy,
-        queue=args.queue,
-        ports=args.ports,
-        rearrange=args.rearrange,
-        fit=args.fit,
-        defrag=args.defrag,
-        prefetch=args.prefetch,
-        **extra,
-    )
+        config["max_queue_depth"] = args.max_queue_depth
+    return ServiceConfig(**config)
 
 
 def _build_service(args: argparse.Namespace) -> ReproService:
@@ -132,9 +124,9 @@ async def _ticker(api: ServiceAPI, rate: float) -> None:
         api.service.advance(seconds=0.1 * rate)
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    """Boot, serve until shutdown, optionally checkpoint on the way out."""
-    api = ServiceAPI(_build_service(args))
+async def _serve(args: argparse.Namespace, service: ReproService) -> int:
+    """Serve until shutdown, optionally checkpoint on the way out."""
+    api = ServiceAPI(service)
     host, port = await api.start(args.host, args.port)
     print(json.dumps({
         "serving": f"http://{host}:{port}",
@@ -159,12 +151,11 @@ async def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay(args: argparse.Namespace) -> int:
+def _replay(args: argparse.Namespace, service: ReproService) -> int:
     """Replay mode: drive the door in-process and print the summary."""
     from repro.campaign.replay import replay_workload
     from repro.sched.workload import get_workload
 
-    service = _build_service(args)
     spec_kwargs = {}
     size_param = get_workload(args.replay).size_param
     if size_param:
@@ -179,11 +170,18 @@ def _replay(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point: replay mode or serve-until-shutdown."""
+    """Entry point: replay mode or serve-until-shutdown.  A malformed
+    config prints one ``error:`` line and exits 2."""
     args = build_parser().parse_args(argv)
+    try:
+        service = _build_service(args)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0] if exc.args else exc}",
+              file=sys.stderr)
+        return 2
     if args.replay:
-        return _replay(args)
-    return asyncio.run(_serve(args))
+        return _replay(args, service)
+    return asyncio.run(_serve(args, service))
 
 
 if __name__ == "__main__":

@@ -375,9 +375,9 @@ class ServiceAPI:
                                 query: dict) -> None:
         """GET /telemetry/stream: NDJSON, backlog then live samples.
 
-        Subscribes to the engine's telemetry listeners; every sample the
-        service records (admissions, finishes, cancellations) is pushed
-        to the client as one JSON line.  ``limit`` bounds the total
+        Subscribes to the engine's telemetry listeners; every entry the
+        service records (one per kernel sample) is pushed to the client
+        as one JSON line.  ``limit`` bounds the total
         lines (the tests' termination condition; 0 or absent means no
         bound); ``history=0`` skips the backlog.  The subscription is
         dropped when the client disconnects or the limit is reached.

@@ -34,26 +34,23 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
-from repro.core.cost import CostModel
-from repro.core.manager import (
-    LogicSpaceManager,
-    PlacementOutcome,
-    RearrangePolicy,
-)
-from repro.device.devices import device as device_by_name
-from repro.device.fabric import Fabric
+from repro.core.manager import PlacementOutcome
 from repro.faults import FaultEvent
-from repro.fleet.manager import FleetManager
 from repro.perf import PERF
 from repro.sched.scheduler import OnlineTaskScheduler
 from repro.sched.tasks import Task, TaskState
 from repro.sched.trace import qos_of_priority
+from repro.stack import AXES, build_fleet, check_fleet, check_int
 
 from .admission import DEFAULT_MAX_QUEUE_DEPTH, AdmissionController
 from .qos import get_qos
+
+
+#: The stack axes a service config names (see :data:`repro.stack.AXES`).
+_SERVICE_AXES = tuple(axis for axis in AXES if axis.service)
 
 
 @dataclass(frozen=True)
@@ -63,6 +60,14 @@ class ServiceConfig:
     The config is serialized into every checkpoint, so a snapshot is
     self-describing: :func:`repro.service.checkpoint.restore` rebuilds
     the identical manager/kernel stack before loading the state into it.
+
+    Every field is checked on construction, before any stack is built:
+    each axis is resolved through :data:`repro.stack.AXES` (a name the
+    registry does not know, or a value of the wrong type, raises
+    :class:`KeyError` or :class:`ValueError`), ``fleet_size`` and
+    ``max_queue_depth`` are integers >= 1 (a boolean is not), and
+    ``fleet_devices`` is a list of device names that leaves
+    ``fleet_size`` at 1.
     """
 
     device: str = "XC2S15"
@@ -82,54 +87,29 @@ class ServiceConfig:
     #: planner (:data:`repro.sched.prefetch.PREFETCH_MODES`).
     prefetch: str = "never"
 
-    def member_names(self) -> tuple[str, ...]:
-        """The fleet's member device names, primary first."""
-        if self.fleet_devices:
-            return (self.device, *self.fleet_devices)
-        return (self.device,) * self.fleet_size
+    def __post_init__(self) -> None:
+        for axis in _SERVICE_AXES:
+            object.__setattr__(self, axis.service,
+                               axis.resolve(getattr(self, axis.service)))
+        check_fleet(self.fleet_size, self.fleet_devices)
+        check_int("max_queue_depth", self.max_queue_depth, 1)
 
     def to_dict(self) -> dict:
         """JSON-ready config (checkpoint header)."""
-        return {
-            "device": self.device,
-            "fleet_size": self.fleet_size,
-            "fleet_devices": list(self.fleet_devices),
-            "device_policy": self.device_policy,
-            "queue": self.queue,
-            "ports": self.ports,
-            "rearrange": self.rearrange,
-            "fit": self.fit,
-            "defrag": self.defrag,
-            "max_queue_depth": self.max_queue_depth,
-            "prefetch": self.prefetch,
-        }
+        return dict(asdict(self), fleet_devices=list(self.fleet_devices))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ServiceConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(**dict(data, fleet_devices=tuple(data["fleet_devices"])))
-
-
-def build_manager(config: ServiceConfig) -> FleetManager:
-    """Construct the fleet of managers a service config describes.
-
-    Mirrors the campaign runner's construction rules: always a
-    :class:`FleetManager`, one member per device, so a single-device
-    service is event-for-event comparable to the equivalent batch
-    scenario.
-    """
-    def member(name: str) -> LogicSpaceManager:
-        dev = device_by_name(name)
-        return LogicSpaceManager(
-            Fabric(dev),
-            cost_model=CostModel(dev),
-            policy=RearrangePolicy(config.rearrange),
-            fit=config.fit,
-            defrag_policy=config.defrag,
-        )
-
-    return FleetManager([member(name) for name in config.member_names()],
-                        policy=config.device_policy)
+    def from_dict(cls, data) -> "ServiceConfig":
+        """Rebuild a config from :meth:`to_dict` output; a document that
+        is not an object or names an unknown field raises
+        :class:`ValueError`."""
+        if not isinstance(data, dict):
+            raise ValueError("config must be an object, "
+                             f"got {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config fields {unknown}")
+        return cls(**data)
 
 
 def _finite(value) -> bool:
@@ -183,6 +163,7 @@ class ServiceEngine(OnlineTaskScheduler):
         self.telemetry_listeners: list[Callable[[dict], None]] = []
         self._next_task_id = 1
         self._journal_seq = 0
+        self.kernel.on_sample = self._record_telemetry
 
     # -- submission + clock --------------------------------------------------
 
@@ -252,7 +233,6 @@ class ServiceEngine(OnlineTaskScheduler):
             task.state = TaskState.CANCELLED
             self._journal("cancelled", task)
             self.kernel.sample()
-            self._record_telemetry()
             self.kernel.drain()
             return task
         raise ValueError(
@@ -272,8 +252,10 @@ class ServiceEngine(OnlineTaskScheduler):
         self._journal_seq += 1
 
     def _record_telemetry(self) -> None:
-        """Append one telemetry sample (after a kernel sample) and fan
-        it out to the registered listeners."""
+        """Append one telemetry entry for the kernel sample just taken
+        (the kernel's ``on_sample`` callback, so every sample writes
+        exactly one entry) and fan it out to the registered
+        listeners."""
         fragmentation, utilization, members = self.metrics.latest_sample
         entry = {
             "t": self.now,
@@ -294,13 +276,11 @@ class ServiceEngine(OnlineTaskScheduler):
         configuration/execution bookkeeping."""
         super()._on_admitted(task, outcome)
         self._journal("admitted", task)
-        self._record_telemetry()
 
     def _on_finish(self, task: Task) -> None:
         """Journal the completion on top of the batch bookkeeping."""
         super()._on_finish(task)
         self._journal("finished", task)
-        self._record_telemetry()
 
     def _on_timeout(self, task: Task, queue_round: int) -> None:
         """Journal a patience rejection (no-op if no longer queued)."""
@@ -315,7 +295,6 @@ class ServiceEngine(OnlineTaskScheduler):
         ``restarted`` or ``dropped``) on top of the batch bookkeeping."""
         super()._on_recovered(task, fate, outcome)
         self._journal(fate, task)
-        self._record_telemetry()
 
 
 class ReproService:
@@ -337,7 +316,11 @@ class ReproService:
         elif overrides:
             raise ValueError("pass a config or overrides, not both")
         self.config = config
-        self.manager = build_manager(config)
+        self.manager = build_fleet(
+            config.device, config.fleet_size, config.fleet_devices,
+            rearrange=config.rearrange, fit=config.fit,
+            defrag=config.defrag, device_policy=config.device_policy,
+        )
         self.engine = ServiceEngine(self.manager, queue=config.queue,
                                     ports=config.ports,
                                     prefetch=config.prefetch)

@@ -68,7 +68,7 @@ class TestTablesAcrossEngines:
             assert all(v == pytest.approx(values[0]) for v in values), cell
 
     def test_policy_table_keeps_engines_apart(self, both_engines):
-        table = both_engines.policy_table("mean_fragmentation")
+        table = both_engines.pivot_table("policy", "mean_fragmentation")
         assert table.headers[:5] == [
             "device", "workload", "fit", "port", "free_space"
         ]
@@ -94,7 +94,7 @@ class TestDegenerateShapes:
         assert empty.group_means("mean_waiting") == {}
         table = empty.summary_table()
         assert table.rows == [] and "0 runs" in table.title
-        assert empty.policy_table("mean_waiting").rows == []
+        assert empty.pivot_table("policy", "mean_waiting").rows == []
         with pytest.raises(ValueError):
             empty.to_csv("unused.csv")
 
@@ -105,7 +105,7 @@ class TestDegenerateShapes:
         )
         single = CampaignResult([result])
         assert len(single.summary_table().rows) == 1
-        policy = single.policy_table("finished")
+        policy = single.pivot_table("policy", "finished")
         assert len(policy.rows) == 1 and policy.headers[-1] == "none"
         csv_path = single.to_csv(tmp_path / "single.csv")
         assert len(csv_path.read_text().strip().splitlines()) == 2

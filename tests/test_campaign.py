@@ -1,5 +1,6 @@
 """Campaign engine: grid expansion, determinism, parallel equivalence."""
 
+import dataclasses
 import json
 
 import pytest
@@ -14,6 +15,8 @@ from repro.campaign import (
     run_scenario,
 )
 from repro.campaign.cli import build_parser, campaign_from_args, main
+from repro.service import ServiceConfig
+from repro.stack import AXES, AXIS
 
 TINY = {"n": 8, "size_range": (2, 5)}
 
@@ -71,6 +74,45 @@ def test_spec_validation():
         ScenarioSpec("XC2S15", "none", "mystery", 0)
     with pytest.raises(ValueError):
         ScenarioSpec("XC2S15", "none", "random", 0, port_kind="uart")
+
+
+#: One value each axis refuses, in table order.
+BAD_AXIS_VALUES = {
+    "device": "NOPE", "policy": "sometimes", "workload": "mystery",
+    "seed": "0", "fit": "psychic", "port_kind": "uart",
+    "free_space": "psychic", "defrag": "sometimes", "queue": "lottery",
+    "ports": "pigeon", "fleet_size": True, "fleet_devices": ("NOPE",),
+    "device_policy": "psychic", "prefetch": "always", "faults": "gremlins",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_AXIS_VALUES))
+def test_spec_validation_covers_every_axis(name):
+    spec = dict(device="XC2S15", policy="none", workload="random", seed=0)
+    with pytest.raises((KeyError, ValueError)):
+        ScenarioSpec(**{**spec, name: BAD_AXIS_VALUES[name]})
+
+
+def test_axis_table_matches_the_spec_fields():
+    """Every ScenarioSpec field but the workload parameters is one
+    table row, with the row's default; CampaignSpec sweeps it from a
+    field starting at that default; ServiceConfig names it or not."""
+    spec_fields = {f.name: f for f in dataclasses.fields(ScenarioSpec)}
+    assert set(spec_fields) - {"workload_params"} == set(AXIS)
+    assert list(BAD_AXIS_VALUES) == [axis.field for axis in AXES]
+    grid = CampaignSpec()
+    for axis in AXES:
+        default = spec_fields[axis.field].default
+        assert (None if default is dataclasses.MISSING else default) \
+            == axis.default
+        if not axis.required:
+            start = getattr(grid, axis.grid)
+            assert start == ([axis.default] if axis.swept
+                             else list(axis.default))
+    service_fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+    assert service_fields - {"max_queue_depth"} == {
+        axis.service for axis in AXES if axis.service
+    }
 
 
 def test_scheduler_kind_derived_from_workload():
@@ -180,7 +222,7 @@ def test_summary_table(small_results):
 
 
 def test_policy_table(small_results):
-    table = small_results.policy_table("mean_waiting")
+    table = small_results.pivot_table("policy", "mean_waiting")
     assert table.headers == [
         "device", "workload", "fit", "port", "free_space", "defrag",
         "queue", "ports", "fleet", "members", "dev_policy", "prefetch",
@@ -188,7 +230,7 @@ def test_policy_table(small_results):
     ]
     assert len(table.rows) == 1
     with pytest.raises(KeyError):
-        small_results.policy_table("not_a_metric")
+        small_results.pivot_table("policy", "not_a_metric")
 
 
 def test_rows_backfill_mixed_pre_fleet_and_fleet_results():

@@ -492,11 +492,9 @@ def test_service_checkpoint_mid_member_death_is_bit_identical():
 
 def test_member_death_after_a_restore_matches_the_uninterrupted_run():
     """A service restored mid-traffic and then faulted records what the
-    uninterrupted run records.  Fault recovery journals each displaced
-    task (and records telemetry) before it samples again, so that
-    telemetry carries the latest sample taken before the restore: the
-    checkpoint must hold its per-member readings, or the restored run
-    writes ``members: []`` where the original wrote both members."""
+    uninterrupted run records: the same journal, and the same
+    telemetry, whose recovery entry reads the sample taken after the
+    fault."""
     trace = service_trace("diurnal", seed=3, n=80)
     original = ReproService(ServiceConfig(device="XC2S15", fleet_size=2,
                                           queue="priority"))
@@ -513,6 +511,50 @@ def test_member_death_after_a_restore_matches_the_uninterrupted_run():
     assert summaries[0]["restarted"], "expected displaced work"
     assert restored.engine.journal == original.engine.journal
     assert restored.engine.telemetry == original.engine.telemetry
+
+
+def test_recovery_records_one_telemetry_entry_read_after_the_fault():
+    """A member death writes one telemetry entry, sampled after the
+    fault: the dead member reads (0, 0) and the fleet reading is the
+    survivor's, however many tasks the recovery displaced."""
+    service = ReproService(ServiceConfig(device="XC2S15", fleet_size=2,
+                                         queue="priority"))
+    for submission in service_trace("diurnal", seed=3, n=80)[:40]:
+        service.submit(**submission)
+    engine = service.engine
+    before = len(engine.telemetry)
+    out = service.inject_fault("member-death", member=1)
+    assert out["now"] == pytest.approx(3.732, abs=1e-3)
+    assert out["restarted"] == [16, 17, 19]
+    (entry,) = engine.telemetry[before:]
+    assert entry["members"] == [[0.4, pytest.approx(43 / 48)], [0.0, 0.0]]
+    assert entry["utilization"] == pytest.approx(43 / 48)
+    assert len(engine.telemetry) == engine.metrics.sample_count == 35
+
+
+def test_one_telemetry_entry_per_kernel_sample():
+    """Every kernel sample writes one telemetry entry and nothing else
+    writes one: admissions, finishes, proactive defrags (the
+    ``threshold`` trigger), a transient stuck-at region and its heal,
+    and a member death's recovery, checked after every step."""
+    service = ReproService(ServiceConfig(
+        device="XC2S15", fleet_size=2, queue="priority", defrag="threshold"))
+    engine = service.engine
+    trace = service_trace("fragmenting", seed=0, n=60)
+    for index, submission in enumerate(trace):
+        service.submit(**submission)
+        if index == 10:
+            assert service.inject_fault(
+                "region-stuck", row=0, col=0, height=3, width=3,
+                duration=0.5)["fault"] == 1
+        if index == 30:
+            assert service.inject_fault(
+                "member-death", member=1)["restarted"] == [28]
+        assert len(engine.telemetry) == engine.metrics.sample_count
+    assert engine.kernel.faults.regions == {}, "expected the region healed"
+    service.settle()
+    assert len(engine.telemetry) == engine.metrics.sample_count
+    assert engine.metrics.proactive_defrags > 0
 
 
 def test_post_faults_over_http():

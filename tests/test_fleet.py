@@ -16,7 +16,7 @@ Three claims are pinned here:
 
 import pytest
 
-from repro.campaign.runner import run_scenario
+from repro.campaign.runner import build_manager, run_scenario
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.core.manager import LogicSpaceManager
 from repro.device.devices import device
@@ -216,14 +216,19 @@ def test_spec_fleet_validation():
                      fleet_devices=("XC2S30",))
 
 
+def member_names(spec: ScenarioSpec) -> list[str]:
+    """The device names of the fleet the campaign builds for ``spec``."""
+    return [m.fabric.device.name for m in build_manager(spec).members]
+
+
 def test_spec_fleet_devices_pin_size_and_names():
     spec = ScenarioSpec("XC2S15", "none", "random", 0,
                         fleet_devices=["XC2S30", "XCV200"])
     assert spec.fleet_size == 3
-    assert spec.fleet_device_names() == ("XC2S15", "XC2S30", "XCV200")
+    assert member_names(spec) == ["XC2S15", "XC2S30", "XCV200"]
     assert spec.to_dict()["fleet_devices"] == "XC2S30+XCV200"
     plain = ScenarioSpec("XC2S15", "none", "random", 0, fleet_size=2)
-    assert plain.fleet_device_names() == ("XC2S15", "XC2S15")
+    assert member_names(plain) == ["XC2S15", "XC2S15"]
 
 
 def test_spec_to_dict_omits_default_fleet_axes():

@@ -23,6 +23,11 @@ Four claims are pinned here:
 
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,6 +46,8 @@ from repro.sched.tasks import TaskState
 from repro.sched.trace import qos_of_priority
 from repro.service.admission import DEPTH_RETRY_AFTER, AdmissionController
 from repro.service.checkpoint import load, save
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_service(**overrides) -> ReproService:
@@ -529,6 +536,45 @@ def test_restore_refuses_unknown_snapshot_versions():
         state["version"] = version
         with pytest.raises(ValueError, match="unsupported snapshot"):
             restore(state)
+
+
+def as_json(value):
+    """``value`` as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
+def test_mid_run_snapshot_restore_snapshot_is_the_identity():
+    """A 2-member service caught with work queued and running restores
+    to a service whose snapshot is the original one, and whose kernel
+    holds the original's metrics: the latest sample with each member's
+    reading included, which only the checkpoint carries across."""
+    original = ReproService(ServiceConfig(fleet_size=2))
+    for submission in service_trace("diurnal", seed=3, n=80)[:40]:
+        original.submit(**submission)
+    kernel = original.engine.kernel
+    assert len(kernel.queue) and kernel.running
+    assert all(util > 0 for _, util in kernel.metrics.latest_sample[2])
+    doc = as_json(snapshot(original))
+    restored = restore(doc)
+    assert as_json(snapshot(restored)) == doc
+    assert as_json(asdict(restored.engine.metrics)) \
+        == as_json(asdict(kernel.metrics))
+
+
+@pytest.mark.parametrize("flags", [["--queue", "bogus"],
+                                   ["--fleet-size", "0"]])
+def test_service_cli_refuses_a_malformed_config(flags):
+    """A config the service refuses ends the daemon with one ``error:``
+    line and exit status 2 before it serves anything."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.service", "--port", "0", *flags],
+        capture_output=True, text=True, timeout=60, cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_checkpoint_metrics_stay_bounded_as_the_service_runs():

@@ -589,6 +589,38 @@ def test_checkpoint_to_file_and_restore_from_path(tmp_path):
     with_api(scenario)
 
 
+@pytest.mark.parametrize("config", [
+    {"fleet_size": "2"}, {"fleet_size": 2.5}, {"fleet_size": True},
+    {"fleet_size": 2, "fleet_devices": ["XC2S30"]},
+    {"fleet_devices": "XC2S30"}, {"device": 7}, {"queue": None},
+    {"fit": ["first"]}, {"max_queue_depth": "x"}, {"max_queue_depth": 0},
+    {"max_queue_depth": True}, {"colour": "red"}, "XC2S15", [],
+], ids=["string-fleet-size", "fractional-fleet-size", "boolean-fleet-size",
+        "fleet-size-next-to-fleet-devices", "string-fleet-devices",
+        "numeric-device", "null-queue", "list-fit", "string-queue-depth",
+        "zero-queue-depth", "boolean-queue-depth", "unknown-key",
+        "string-config", "list-config"])
+def test_malformed_restore_config_is_a_400_that_keeps_the_service(config):
+    """The config is checked before any stack is built: the restore is
+    refused and the running service keeps serving."""
+    async def scenario(api, client):
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context))
+        await client.request("POST", "/tasks", SUBMIT)
+        original = api.service
+        _, snap, _ = await client.request("POST", "/checkpoint", {})
+        snap["config"] = ({**snap["config"], **config}
+                          if isinstance(config, dict) else config)
+        status, payload, _ = await client.request("POST", "/restore", snap)
+        assert status == 400 and payload["error"]
+        assert api.service is original
+        status, payload, _ = await client.request("GET", "/healthz")
+        assert status == 200 and payload["tasks"] == 1
+        assert not unhandled
+    with_api(scenario)
+
+
 def test_shutdown_endpoint_resolves_the_shutdown_event():
     async def scenario(api, client):
         assert not api.shutdown.is_set()

@@ -2,8 +2,9 @@
 """Docstring-coverage and documentation dead-link checks.
 
 **Docstring mode** (the default) walks the given packages (default:
-``repro.campaign``, ``repro.sched``, ``repro.fleet`` and
-``repro.service``) and reports every public
+``repro.campaign``, ``repro.sched``, ``repro.fleet``,
+``repro.service``, ``repro.faults`` and the axis table
+``repro.stack``) and reports every public
 module, class, function and method that lacks a docstring.  Exits
 non-zero when anything is missing, so CI can gate on it::
 
@@ -43,7 +44,7 @@ from pathlib import Path
 
 DEFAULT_TARGETS = ("src/repro/campaign", "src/repro/sched",
                    "src/repro/fleet", "src/repro/service",
-                   "src/repro/faults")
+                   "src/repro/faults", "src/repro/stack.py")
 
 #: Dotted repro.* names in prose or backticks.
 DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")

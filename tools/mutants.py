@@ -259,9 +259,8 @@ MUTANTS = (
         mutated=('        "metrics": dict(asdict(kernel.metrics),'
                  ' latest_sample=kernel.metrics.latest_sample[:2]'
                  ' + ((),)),\n'),
-        tests=("tests/test_faults.py::"
-               "test_member_death_after_a_restore_matches_the"
-               "_uninterrupted_run",),
+        tests=("tests/test_service.py::"
+               "test_mid_run_snapshot_restore_snapshot_is_the_identity",),
     ),
     Mutant(
         name="stale-patience-timeout-unguarded",
@@ -280,6 +279,40 @@ MUTANTS = (
                  'else None'),
         tests=("tests/test_faults.py::"
                "test_service_member_death_journals_the_relocation",),
+    ),
+    Mutant(
+        name="spec-check-loop-skips-an-axis",
+        path="src/repro/campaign/spec.py",
+        original="        for axis in AXES:\n",
+        mutated="        for axis in AXES[:-1]:\n",
+        tests=("tests/test_campaign.py::"
+               "test_spec_validation_covers_every_axis",),
+    ),
+    Mutant(
+        name="boolean-counts-accepted",
+        path="src/repro/stack.py",
+        original=("    if isinstance(value, bool) "
+                  "or not isinstance(value, numbers.Integral):\n"),
+        mutated="    if not isinstance(value, numbers.Integral):\n",
+        tests=("tests/test_service_api.py::"
+               "test_malformed_restore_config_is_a_400_that_keeps_the"
+               "_service[boolean-fleet-size]",),
+    ),
+    Mutant(
+        name="sparse-column-at-its-default",
+        path="src/repro/campaign/spec.py",
+        original="            if not AXIS[name].sparse\n",
+        mutated=('            if not AXIS[name].sparse '
+                 'or name == "faults"\n'),
+        tests=("tests/test_campaign_exports.py",),
+    ),
+    Mutant(
+        name="sample-without-on-sample",
+        path="src/repro/sched/kernel.py",
+        original="            self.on_sample()\n",
+        mutated="            pass\n",
+        tests=("tests/test_faults.py::"
+               "test_one_telemetry_entry_per_kernel_sample",),
     ),
 )
 
