@@ -91,10 +91,6 @@ class ActiveReplicationTester:
         """Plant a stuck-at defect at a physical site."""
         self.faults[fault.site] = fault
 
-    def clear_faults(self) -> None:
-        """Remove all injected defects."""
-        self.faults.clear()
-
     # -- BIST ------------------------------------------------------------------
 
     def _cell_response(self, site: CellCoord, lut: int, vector: int) -> int:

@@ -26,6 +26,7 @@ dynamic relocation instead of halting the moved functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 import numpy as np
 
@@ -56,14 +57,25 @@ _NO_ANCHOR = 1 << 30
 #: Screen batches with fewer candidate windows than this run in plain
 #: Python on the packed grid (:meth:`DefragPlanner._screen_scalar`); larger
 #: ones run as numpy slabs (:meth:`DefragPlanner._screen_slab`).  Both
-#: give the same verdicts and share one cache.  The slab's fixed cost,
-#: some fifty array operations, only pays off over many windows.  Timed
-#: on one core of a shared x86-64 host with a cold cache, the two paths
-#: break even near 20 windows on XCV200 (28 x 42) and near 55 on XC2S15
-#: (8 x 12), whose packed integers are smaller; 32 lies between.  Service
-#: calls on XC2S15 screen 4 to 30 windows and campaign calls on XCV200
-#: at least 129, so each runs its faster path.
+#: give the same verdicts and share one cache.  Sampled calls replayed
+#: through each path from their cache state, on one core of a shared
+#: x86-64 host: on XC2S15 (8 x 12) the per-window path is faster up to
+#: 64 windows (13.6 against 19.4 ms over 148 calls) and about even
+#: above; on XCV200 (28 x 42), whose calls all hold 129 windows or more,
+#: the slab is faster at every size (26 against 37 ms over the 54 calls
+#: of 129 to 160 windows).  Service calls on XC2S15 screen 4 to 30
+#: windows, so 32 sends each workload down its faster path.
 SCREEN_SLAB_MIN = 32
+
+#: A slab screen computes a batch of fewer missing (blocker set, shape)
+#: pairs than this one pair at a time on the packed grid
+#: (:func:`_extents_row`), and a larger batch in one
+#: :meth:`DefragPlanner._pair_extents` slab.  On XCV200 a pair costs
+#: about 4 us on the packed grid, and a slab about 75 us plus 2 us per
+#: pair (sampled batches, timed warm), so they meet near 35 pairs; half
+#: of the batches of the first 10 scenarios of ``batch-backfill-v200``
+#: at seed 3 hold fewer than 22.
+PAIR_SLAB_MIN = 32
 
 
 @dataclass
@@ -333,25 +345,29 @@ class DefragPlanner:
                      shared: dict) -> dict:
         """Shape-independent inputs of the eviction search.
 
-        Everything here is a pure function of the occupancy grid: the
-        footprint coordinate columns, the grid packed into one integer
-        with each blocker's packed footprint (for :meth:`_evict_moves`
-        and the scalar screen), the unique blocker shapes and the
-        screen's blocker-set cache (for :meth:`_screen_windows`), and,
-        on grids up to 64 columns, the uint64 row masks of the slab
-        screen.  Within one planner token the bundle is built once and
-        every probed shape reuses it.
+        Everything here is a pure function of the occupancy grid.  The
+        residents are numbered largest first (area descending, then
+        footprint order), and a blocker set is the integer with bit ``p``
+        set for each resident ``p`` in it, so its lowest set bit is its
+        largest blocker.  The bundle holds the grid packed into one
+        integer with each resident's packed footprint (for
+        :meth:`_evict_moves` and the scalar screen), both window axes
+        (for :meth:`_eviction_windows`), and the unique blocker shapes
+        with the screen's blocker-set cache (for
+        :meth:`_screen_windows`); the slab screen's masks are added on
+        first use (:func:`_slab_masks`).  Within one planner token the
+        bundle is built once and every probed shape reuses it.
         """
         if "evict" in shared:
             return shared["evict"]
-        print_items = list(prints.items())
+        # A stable sort: equal areas keep their footprint order.
+        print_items = sorted(prints.items(), key=lambda item: -item[1].area)
         prl = [rect.row for _, rect in print_items]
         pcl = [rect.col for _, rect in print_items]
         phl = [rect.height for _, rect in print_items]
         pwl = [rect.width for _, rect in print_items]
-        pr, pc, ph, pw = (np.array(v, dtype=np.int64)
-                          for v in (prl, pcl, phl, pwl))
         rows, cols = occupancy.shape
+        row_bits = self._token_row_bits(occupancy, shared)
         # Row-major packing with a zero guard column after every row
         # (see :func:`~repro.placement.bitgrid.first_fit_packed`);
         # ``reps[h]`` has bit 0 of ``h`` consecutive rows set.
@@ -359,91 +375,63 @@ class DefragPlanner:
         reps = [0]
         for h in range(rows):
             reps.append(reps[-1] | 1 << (h * stride))
+        # Resident p's bit, in as many 64-bit words as the count needs.
+        count = len(print_items)
+        index = np.arange(count)
+        bits = np.zeros((count, -(-count // 64)), dtype=np.uint64)
+        bits[index, index >> 6] = np.left_shift(
+            np.uint64(1), (index & 63).astype(np.uint64))
+        shapes = sorted(set(zip(phl, pwl)))
+        shape_index = {shape: i for i, shape in enumerate(shapes)}
         state = {
             "print_items": print_items,
-            "pr": pr, "pc": pc, "ph": ph, "pw": pw,
             "areas": [h * w for h, w in zip(phl, pwl)],
-            # Plain-list mirrors for the per-shape anchor dedup in
-            # :meth:`_eviction_windows` — the candidate sets are a few
-            # dozen ints, where a Python set beats array machinery.
-            "coord_lists": (prl, pcl, phl, pwl),
             "rows": rows,
+            "row_bits": row_bits,
             "stride": stride,
             "reps": reps,
-            "packed": pack_grid(self._token_row_bits(occupancy, shared),
-                                stride),
+            "packed": pack_grid(row_bits, stride),
             "blocker_masks": [
                 ((1 << w) - 1) * reps[h] << (r * stride + c)
                 for r, c, h, w in zip(prl, pcl, phl, pwl)
             ],
+            "row_axis": _Axis(prl, phl, rows, bits),
+            "col_axis": _Axis(pcl, pwl, cols, bits),
+            # Unique blocker shapes, ascending (so by height), and each
+            # resident's.
+            "shapes": shapes,
+            "inv": [shape_index[shape] for shape in zip(phl, pwl)],
+            # The screen's cache: blocker set -> id, each id's set and the
+            # shape of its largest blocker, and per (id, shape) pair a
+            # stored-flag and extents row.
+            "set_ids": {},
+            "set_keys": [],
+            "lead": np.zeros(0, dtype=np.int64),
+            "known": np.zeros(0, dtype=bool),
+            "extents": np.zeros((0, 4), dtype=np.int64),
         }
-        # Unique blocker shapes, ascending, and each footprint's.
-        shapes = sorted(set(zip(phl, pwl)))
-        index = {shape: i for i, shape in enumerate(shapes)}
-        state["shapes"] = shapes
-        state["inv"] = [index[shape] for shape in zip(phl, pwl)]
-        state["uh"] = np.array([h for h, _ in shapes], dtype=np.int64)
-        state["uw"] = np.array([w for _, w in shapes], dtype=np.int64)
-        # The screen's cache: blocker set (its packed member row) -> id,
-        # and per (id, shape) pair a stored-flag and extents row.
-        state["set_ids"] = {}
-        state["known"] = np.zeros(0, dtype=bool)
-        state["extents"] = np.empty((0, 4), dtype=np.int64)
-        if cols <= 64:
-            packed = np.packbits(occupancy == 0, axis=1,
-                                 bitorder="little")
-            buf = np.zeros((rows, 8), dtype=np.uint8)
-            buf[:, : packed.shape[1]] = packed
-            state["base64"] = buf.view("<u8").ravel()
-            spans = (((np.uint64(1) << pw.astype(np.uint64))
-                      - np.uint64(1)) << pc.astype(np.uint64))
-            rows_idx = np.arange(rows)
-            covers = (pr[:, None] <= rows_idx[None, :]) \
-                & (rows_idx[None, :] < pr[:, None] + ph[:, None])
-            blocker_rows = np.where(covers, spans[:, None], np.uint64(0))
-            # Both 32-bit halves of every span mask as float64: a sum of
-            # disjoint sub-2^32 masks is exact, so the slab screen lifts
-            # many blocker sets at once through two BLAS products.
-            state["blocker_lo"] = (blocker_rows & np.uint64(0xFFFFFFFF)) \
-                .astype(np.float64)
-            state["blocker_hi"] = (blocker_rows >> np.uint64(32)) \
-                .astype(np.float64)
         shared["evict"] = state
         return state
 
     def _eviction_windows(
         self, occupancy: np.ndarray, state: dict, height: int, width: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    ) -> tuple[list[int], np.ndarray, np.ndarray] | None:
         """Candidate windows for one shape, in scan order.
 
         Anchors come from 'corner points' (edges of the device and of
         resident footprints), optionally subsampled to
-        ``max_candidates``; each window's blocker set is enumerated with
-        one separable overlap pass.  Returns ``(member, n_w, wr, wc)``
-        filtered to windows with 1..``max_moves`` blockers, or ``None``
-        when no window qualifies.
+        ``max_candidates``.  A window's blocker set is one integer, the
+        AND of its row band and its column band (:meth:`_Axis.bands`),
+        and its blocker count is the integer's bit count.  Returns ``(keys, wr, wc)``: the blocker sets and anchors
+        of the windows with 1..``max_moves`` blockers, or ``None`` when
+        no window qualifies.
         """
         rows, cols = occupancy.shape
-        count = len(state["print_items"])
-        pr, pc, ph, pw = (state["pr"], state["pc"],
-                          state["ph"], state["pw"])
-        prl, pcl, phl, pwl = state["coord_lists"]
-        rhi = rows - height
-        chi = cols - width
-        if rhi < 0 or chi < 0:
+        if height > rows or width > cols:
             return None
-        rset = {0, rhi}
-        for p, h in zip(prl, phl):
-            for v in (p - height, p, p + h):
-                if 0 <= v <= rhi:
-                    rset.add(v)
-        ra = np.array(sorted(rset), dtype=np.int64)
-        cset = {0, chi}
-        for p, w in zip(pcl, pwl):
-            for v in (p - width, p, p + w):
-                if 0 <= v <= chi:
-                    cset.add(v)
-        ca = np.array(sorted(cset), dtype=np.int64)
+        row_axis, col_axis = state["row_axis"], state["col_axis"]
+        ra = row_axis.anchors(height)
+        ca = col_axis.anchors(width)
         # Bound the search (minimising disturbance is a heuristic, not an
         # exhaustive optimisation): subsample anchors evenly if needed.
         while len(ra) * len(ca) > self.max_candidates:
@@ -451,25 +439,20 @@ class DefragPlanner:
                 ra = ra[::2]
             else:
                 ca = ca[::2]
-        # Footprint/window overlap, separably per axis; the (R, C, P)
-        # AND enumerates every window's blocker set in scan order.
-        row_ov = (pr[:, None] < ra[None, :] + height) \
-            & (pr[:, None] + ph[:, None] > ra[None, :])
-        col_ov = (pc[:, None] < ca[None, :] + width) \
-            & (pc[:, None] + pw[:, None] > ca[None, :])
-        member = (
-            row_ov.T[:, None, :] & col_ov.T[None, :, :]
-        ).reshape(-1, count)
-        n_all = member.sum(axis=1)
-        valid = np.flatnonzero((n_all > 0) & (n_all <= self.max_moves))
+        row_band = row_axis.bands(ra, height)
+        col_band = col_axis.bands(ca, width)
+        sets = (row_band[:, None] & col_band[None]).reshape(
+            len(ra) * len(ca), -1)
+        counts = np.bitwise_count(sets).sum(axis=1)
+        valid = np.flatnonzero((counts > 0) & (counts <= self.max_moves))
         if valid.size == 0:
             return None
-        return (
-            member[valid],
-            n_all[valid],
-            np.repeat(ra, len(ca))[valid],
-            np.tile(ca, len(ra))[valid],
-        )
+        sets = sets[valid]
+        keys = sets[:, 0].tolist()
+        for word in range(1, sets.shape[1]):
+            keys = [key | high << 64 * word
+                    for key, high in zip(keys, sets[:, word].tolist())]
+        return keys, ra[valid // len(ca)], ca[valid % len(ca)]
 
     def _eviction_batch(
         self, occupancy: np.ndarray, prints: dict[int, Rect],
@@ -488,16 +471,13 @@ class DefragPlanner:
         window's verdict does not depend on the other windows in the
         batch, so each shape's plan is identical to a one-shape call.
         """
-        rows, cols = occupancy.shape
         results: dict[tuple[int, int], RearrangementPlan | None] = {}
         if not prints:
             return dict.fromkeys(shapes)
         state = self._evict_state(occupancy, prints, shared)
         wins: dict[tuple[int, int], tuple] = {}
         for height, width in shapes:
-            win = None
-            if height <= rows and width <= cols:
-                win = self._eviction_windows(occupancy, state, height, width)
+            win = self._eviction_windows(occupancy, state, height, width)
             if win is None:
                 results[height, width] = None
             else:
@@ -505,23 +485,21 @@ class DefragPlanner:
         if not wins:
             return results
         keeps = self._screen_windows(occupancy, state, [
-            (win[0], win[2], win[3], height, width)
-            for (height, width), win in wins.items()
+            (*win, height, width) for (height, width), win in wins.items()
         ])
-        for keep, ((height, width), win) in zip(keeps, wins.items()):
+        for keep, (shape, (keys, wr, wc)) in zip(keeps, wins.items()):
             if not keep.any():
-                results[height, width] = None
+                results[shape] = None
                 continue
-            member, n_w, wr, wc = (array[keep] for array in win)
-            results[height, width] = self._eviction_select(
-                occupancy, state, member, n_w, wr, wc, height, width,
+            results[shape] = self._eviction_select(
+                occupancy, state, list(compress(keys, keep.tolist())),
+                wr[keep], wc[keep], *shape,
             )
         return results
 
     def _eviction_select(
-        self, occupancy: np.ndarray, state: dict,
-        member: np.ndarray, n_w: np.ndarray, wr: np.ndarray,
-        wc: np.ndarray, height: int, width: int,
+        self, occupancy: np.ndarray, state: dict, keys: list[int],
+        wr: np.ndarray, wc: np.ndarray, height: int, width: int,
     ) -> RearrangementPlan | None:
         """Pick the winning window among the screen survivors.
 
@@ -535,7 +513,7 @@ class DefragPlanner:
         The (sites moved) rank is lazy: a window's moved area is the
         sum of its blockers' footprint areas — every blocker yields
         exactly one move whose source is its footprint — so it is known
-        from the member matrix *before* any relocation search runs.
+        from the blocker set *before* any relocation search runs.
         Windows are grouped by moved area ascending and only groups
         reached before a winner pay for their move lists, which is most
         of the eviction cost on rejection-heavy streams.
@@ -544,14 +522,11 @@ class DefragPlanner:
         # Survivor counts are tiny after the screen (a handful per
         # shape), so the walk runs on plain Python containers — per-
         # bucket numpy dispatches would dominate the actual work.
-        w_idx, p_idx = np.nonzero(member)
-        n = member.shape[0]
-        blockers_of: list[list[int]] = [[] for _ in range(n)]
-        for w, p in zip(w_idx.tolist(), p_idx.tolist()):
-            blockers_of[w].append(p)
+        blockers_of = [_members(key) for key in keys]
+        n = len(keys)
         wr_l = wr.tolist()
         wc_l = wc.tolist()
-        n_l = n_w.tolist()
+        n_l = [len(blockers) for blockers in blockers_of]
         order = sorted(range(n), key=lambda i: (n_l[i], i))
         pos = 0
         while pos < len(order):
@@ -608,12 +583,12 @@ class DefragPlanner:
         occupancy: np.ndarray,
         state: dict,
         groups: list[tuple],
-    ) -> list[np.ndarray] | None:
+    ) -> list[np.ndarray]:
         """Which windows could possibly relocate *all* their blockers.
 
-        ``groups`` is a list of ``(member, wr, wc, height, width)``
-        window batches, one per probed shape, screened together.
-        Returns one boolean keep-mask per group.
+        ``groups`` is a list of ``(keys, wr, wc, height, width)`` window
+        batches, one per probed shape, screened together.  Returns one
+        boolean keep-mask per group.
 
         A window's eviction attempt places its blockers, one at a time,
         into the grid with the blockers lifted and the target reserved.
@@ -629,69 +604,71 @@ class DefragPlanner:
         against the row and column extents of its anchor set decide.
         The extents depend on ``(B, shape)`` only, not on the window, so
         each distinct pair is computed once and stored in the token's
-        eviction state, keyed by the set's exact packed member row;
-        every window is then decided from the stored extents.
-        ``screen_cache_hits`` counts the distinct pairs of a call found
-        stored by an earlier call, ``screen_cache_misses`` the pairs
+        eviction state, keyed by the set's integer; every window is then
+        decided from the stored extents.  A window is kept when every
+        blocker can leave, so both executors try its blockers largest
+        first (the one most likely to have no spot) and stop at the
+        first that cannot: most windows are decided by one pair.
+        ``screen_cache_hits`` counts the distinct pairs a call reads that
+        an earlier call stored, ``screen_cache_misses`` the pairs
         computed.
         """
-        member = (groups[0][0] if len(groups) == 1
-                  else np.concatenate([g[0] for g in groups], axis=0))
-        windows = member.shape[0]
+        keys = (groups[0][0] if len(groups) == 1
+                else [key for group in groups for key in group[0]])
+        windows = len(keys)
         PERF.screen_calls += 1
         PERF.screen_windows += windows
-        keys = np.packbits(member, axis=1)
         set_ids = state["set_ids"]
-        sid = [set_ids.setdefault(k, len(set_ids))
-               for k in keys.view(f"V{keys.shape[1]}").ravel().tolist()]
-        need = len(set_ids) * len(state["shapes"])
-        if state["known"].size < need:
-            old = state["known"].size
-            size = max(2 * old, need)
-            known = np.zeros(size, dtype=bool)
-            known[:old] = state["known"]
-            extents = np.empty((size, 4), dtype=np.int64)
-            extents[:old] = state["extents"]
-            state["known"], state["extents"] = known, extents
+        old = len(set_ids)
+        sid = [set_ids.setdefault(key, len(set_ids)) for key in keys]
+        if len(set_ids) > old:
+            fresh = list(islice(set_ids, old, None))
+            state["set_keys"].extend(fresh)
+            if len(set_ids) > state["lead"].size:
+                sets = max(2 * state["lead"].size, len(set_ids))
+                pairs = sets * len(state["shapes"])
+                for name, shape in (("lead", sets), ("known", pairs),
+                                    ("extents", (pairs, 4))):
+                    grown = np.zeros(shape, dtype=state[name].dtype)
+                    grown[:len(state[name])] = state[name]
+                    state[name] = grown
+            inv = state["inv"]
+            state["lead"][old:len(set_ids)] = [
+                inv[(key & -key).bit_length() - 1] for key in fresh
+            ]
         # The slab packs a row into one uint64; wider grids stay on the
         # packed Python integer, which has no width limit.
         if windows < SCREEN_SLAB_MIN or occupancy.shape[1] > 64:
-            keep = self._screen_scalar(state, member, sid, groups)
+            keep = self._screen_scalar(state, sid, groups)
         else:
-            keep = self._screen_slab(state, member, sid, groups)
+            keep = self._screen_slab(state, sid, groups)
         if len(groups) == 1:
             return [keep]
-        return np.split(keep, np.cumsum([g[0].shape[0] for g in groups])[:-1])
+        return np.split(keep, np.cumsum([len(g[0]) for g in groups])[:-1])
 
     @staticmethod
-    def _screen_scalar(state: dict, member: np.ndarray, sid: list[int],
+    def _screen_scalar(state: dict, sid: list[int],
                        groups: list[tuple]) -> np.ndarray:
         """:meth:`_screen_windows` verdicts, one window at a time.
 
-        A missing pair's extents come from
-        :func:`~repro.placement.bitgrid.anchor_extents` on the packed
-        lifted grid; the stored row is ``(top + height, -bottom,
-        left + width, -right)``, as in :meth:`_pair_extents`.
+        Each window walks its blockers largest first and stops at the
+        first with no spot.  A missing pair's extents come from the
+        packed lifted grid (:func:`_extents_row`).
         """
-        shapes = state["shapes"]
+        shapes = len(state["shapes"])
         inv = state["inv"]
         known, extents = state["known"], state["extents"]
-        masks = state["blocker_masks"]
-        stride = state["stride"]
-        blockers: list[list[int]] = [[] for _ in sid]
-        w_idx, p_idx = np.nonzero(member)
-        for w, p in zip(w_idx.tolist(), p_idx.tolist()):
-            blockers[w].append(p)
         seen: dict[int, list[int]] = {}
         keep: list[bool] = []
-        w = 0
-        for _, wr, wc, height, width in groups:
-            for top, left in zip(wr.tolist(), wc.tolist()):
+        ids = iter(sid)
+        for keys, wr, wc, height, width in groups:
+            for key, top, left in zip(keys, wr.tolist(), wc.tolist()):
                 neg_bottom, neg_right = -(top + height), -(left + width)
-                base = sid[w] * len(shapes)
+                base = next(ids) * shapes
+                blockers = _members(key)
                 lifted = None
                 clear = True
-                for p in blockers[w]:
+                for p in blockers:
                     code = base + inv[p]
                     ext = seen.get(code)
                     if ext is None:
@@ -701,72 +678,106 @@ class DefragPlanner:
                         else:
                             PERF.screen_cache_misses += 1
                             if lifted is None:
-                                lifted = state["packed"]
-                                for q in blockers[w]:
-                                    lifted |= masks[q]
-                            bh, bw = shapes[inv[p]]
-                            found = anchor_extents(lifted, stride, bh, bw)
-                            ext = ([_NO_ANCHOR] * 4 if found is None else
-                                   [found[0] + bh, -found[1],
-                                    found[2] + bw, -found[3]])
+                                lifted = _lift(state, blockers)
+                            ext = _extents_row(state, lifted, inv[p])
                             extents[code] = ext
                             known[code] = True
                         seen[code] = ext
-                    if clear and not (ext[0] <= top or ext[1] <= neg_bottom
-                                      or ext[2] <= left
-                                      or ext[3] <= neg_right):
+                    if not (ext[0] <= top or ext[1] <= neg_bottom
+                            or ext[2] <= left or ext[3] <= neg_right):
                         clear = False
+                        break
                 keep.append(clear)
-                w += 1
         return np.array(keep, dtype=bool)
 
-    def _screen_slab(self, state: dict, member: np.ndarray,
-                     sid: list[int], groups: list[tuple]) -> np.ndarray:
-        """:meth:`_screen_windows` verdicts for a whole batch at once."""
-        windows = member.shape[0]
-        sid_a = np.array(sid, dtype=np.int64)
-        w_idx, p_idx = np.nonzero(member)
+    def _screen_slab(self, state: dict, sid: list[int],
+                     groups: list[tuple]) -> np.ndarray:
+        """:meth:`_screen_windows` verdicts for a whole batch at once.
+
+        Every window is first decided on its largest blocker: one pair
+        per window, which drops almost all of them.  Only the survivors
+        read the pairs of their other blockers, so a call computes its
+        new pairs in at most two batches (:meth:`_fill_pairs`).
+        """
         shapes = len(state["shapes"])
-        codes = sid_a[w_idx] * shapes + np.take(state["inv"], p_idx)
-        ordered = np.sort(codes)
-        fresh = np.empty(ordered.size, dtype=bool)
-        fresh[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-        pairs = ordered[fresh]
-        known, extents = state["known"], state["extents"]
+        extents = state["extents"]
+        sid_a = np.fromiter(sid, dtype=np.int64, count=len(sid))
+        # Each window as (top, -bottom, left, -right): a stored extents
+        # row at or below it in any column is an anchor clear of it.
+        geom = np.empty((len(sid), 4), dtype=np.int64)
+        at = 0
+        for _, wr, wc, height, width in groups:
+            block = geom[at:at + len(wr)]
+            block[:, 0] = wr
+            np.subtract(-height, wr, out=block[:, 1])
+            block[:, 2] = wc
+            np.subtract(-width, wc, out=block[:, 3])
+            at += len(wr)
+        codes = sid_a * shapes + state["lead"][sid_a]
+        self._fill_pairs(state, _distinct(codes))
+        # Four bools per entry read as one uint32: nonzero iff any holds.
+        alive = np.flatnonzero(
+            (np.take(extents, codes, axis=0) <= geom).view(np.uint32)
+        )
+        keep = np.zeros(len(sid), dtype=bool)
+        keep[alive] = True
+        # The survivors' other blocker shapes: pairs stage 1 never read,
+        # since a set's pair with its largest blocker's shape has passed.
+        inv = state["inv"]
+        set_keys = state["set_keys"]
+        owners: list[int] = []
+        rest: list[int] = []
+        for w in alive.tolist():
+            base = sid[w] * shapes
+            first, *others = _members(set_keys[sid[w]])
+            for p in others:
+                if inv[p] != inv[first]:
+                    owners.append(w)
+                    rest.append(base + inv[p])
+        if rest:
+            rest_a = np.array(rest, dtype=np.int64)
+            owner_a = np.array(owners, dtype=np.int64)
+            self._fill_pairs(state, _distinct(rest_a))
+            clear = (np.take(extents, rest_a, axis=0)
+                     <= np.take(geom, owner_a, axis=0)).view(np.uint32)
+            keep[owner_a[clear.ravel() == 0]] = False
+        return keep
+
+    def _fill_pairs(self, state: dict, pairs: np.ndarray) -> None:
+        """Count distinct (set, shape) ``pairs`` of a slab call, and
+        compute and store the extents of those not stored yet: in one
+        :meth:`_pair_extents` slab, or one at a time on the packed grid
+        when there are fewer than ``PAIR_SLAB_MIN``."""
+        known = state["known"]
         missing = pairs[~known[pairs]]
         PERF.screen_cache_hits += pairs.size - missing.size
         PERF.screen_cache_misses += missing.size
-        if missing.size:
-            missing = missing[np.argsort(
-                state["uh"][missing % shapes], kind="stable"
-            )]
-            where = np.empty(len(state["set_ids"]), dtype=np.int64)
-            where[sid_a] = np.arange(windows)
-            extents[missing] = self._pair_extents(
-                state, member[where[missing // shapes]], missing % shapes,
-            )
-            known[missing] = True
-        # Each window as (top, -bottom, left, -right): a stored extents
-        # row at or below it in any column is an anchor clear of it.
-        geom = np.concatenate([
-            np.stack([wr, -(wr + height), wc, -(wc + width)], axis=1)
-            for _, wr, wc, height, width in groups
-        ])
-        hits = np.take(extents, codes, axis=0) \
-            <= np.take(geom, w_idx, axis=0)
-        # Four bools per entry read as one uint32: nonzero iff any holds.
-        clear = hits.view(np.uint32).ravel() != 0
-        bad = np.zeros(windows, dtype=bool)
-        bad[w_idx[~clear]] = True
-        return ~bad
+        if not missing.size:
+            return
+        shapes = len(state["shapes"])
+        set_keys = state["set_keys"]
+        if missing.size < PAIR_SLAB_MIN:
+            extents = state["extents"]
+            for code in missing.tolist():
+                i, shape = divmod(code, shapes)
+                extents[code] = _extents_row(
+                    state, _lift(state, _members(set_keys[i])), shape)
+        else:
+            # Shape indices ascend with height (the shapes are sorted).
+            missing = missing[np.argsort(missing % shapes, kind="stable")]
+            sets = _member_rows(
+                [set_keys[i] for i in (missing // shapes).tolist()],
+                len(state["print_items"]))
+            state["extents"][missing] = self._pair_extents(
+                state, sets, missing % shapes)
+        known[missing] = True
 
     @staticmethod
     def _pair_extents(state: dict, sets: np.ndarray,
                       shape_idx: np.ndarray) -> np.ndarray:
         """Anchor extents of each (blocker set, shape) pair, in one slab.
 
-        ``sets`` holds one member row per pair and ``shape_idx`` the
+        ``sets`` holds one 0/1 member row per pair and ``shape_idx`` the
         pair's blocker shape, pairs sorted by shape height.  Each pair's
         lifted grid (free rows OR its blockers' span masks) is reduced
         to the anchors of its shape: the band down the rows grows one row
@@ -777,15 +788,16 @@ class DefragPlanner:
         clear of some anchor iff one column of the row is at most the
         window's; pairs without anchors get a row no window passes.
         """
+        slab = _slab_masks(state)
         rows = state["rows"]
-        heights = state["uh"][shape_idx]
-        widths = state["uw"][shape_idx]
+        heights = slab["heights"][shape_idx]
+        widths = slab["widths"][shape_idx]
         weights = sets.astype(np.float64)
         lifted = (
-            ((weights @ state["blocker_hi"]).astype(np.uint64)
+            ((weights @ slab["blocker_hi"]).astype(np.uint64)
              << np.uint64(32))
-            | (weights @ state["blocker_lo"]).astype(np.uint64)
-            | state["base64"]
+            | (weights @ slab["blocker_lo"]).astype(np.uint64)
+            | slab["base"]
         )
         tallest = int(heights[-1])
         grid = np.zeros((len(sets), rows + tallest - 1), dtype=np.uint64)
@@ -829,11 +841,12 @@ class DefragPlanner:
         """Relocation moves clearing ``target``, or None when some
         blocker has nowhere to go.
 
-        ``blockers`` index the state's footprints.  Works on the grid
-        packed into one integer: vacate the blockers, reserve the
-        target, then first-fit each blocker largest-first — the exact
-        scratch-grid procedure of the eviction strategy, minus the numpy
-        copies.  Sequencing is the caller's job.
+        ``blockers`` index the state's footprints, largest first (the
+        order of a blocker set's bits).  Works on the grid packed into
+        one integer: vacate the blockers, reserve the target, then
+        first-fit each blocker largest-first — the exact scratch-grid
+        procedure of the eviction strategy, minus the numpy copies.
+        Sequencing is the caller's job.
         """
         PERF.evict_moves_calls += 1
         stride = state["stride"]
@@ -841,14 +854,13 @@ class DefragPlanner:
         reps = state["reps"]
         masks = state["blocker_masks"]
         print_items = state["print_items"]
-        areas = state["areas"]
         grid = state["packed"]
         for i in blockers:
             grid |= masks[i]
         grid &= ~(span_mask(target.col, target.width) * reps[target.height]
                   << (target.row * stride))
         moves: list[Move] = []
-        for i in sorted(blockers, key=areas.__getitem__, reverse=True):
+        for i in blockers:
             owner, rect = print_items[i]
             at = first_fit_packed(grid, rows, stride, rect.height,
                                   rect.width)
@@ -860,3 +872,137 @@ class DefragPlanner:
                 Move(owner, rect, Rect(row, col, rect.height, rect.width))
             )
         return moves
+
+
+class _Axis:
+    """One axis of a token's eviction windows, rows or columns.
+
+    Built from the residents' first lines ``lo`` and extents on an axis
+    of ``size`` lines, and ``bits``, each resident's bit as a row of
+    64-bit words.  ``starts`` flags the lines where a resident begins
+    and ``edges`` those where one begins or ends (both ``size + 1``
+    long).  ``first[x]`` holds the bits of every resident whose first
+    line is at or before ``x``, and ``last[x]`` of every resident whose
+    last line is at or after ``x``.
+    """
+
+    __slots__ = ("size", "starts", "edges", "first", "last")
+
+    def __init__(self, lo: list[int], extent: list[int], size: int,
+                 bits: np.ndarray) -> None:
+        lo = np.array(lo, dtype=np.int64)
+        hi = lo + np.array(extent, dtype=np.int64)
+        self.size = size
+        self.starts = np.zeros(size + 1, dtype=bool)
+        self.starts[lo] = True
+        self.edges = self.starts.copy()
+        self.edges[hi] = True
+        first = np.zeros((size, bits.shape[1]), dtype=np.uint64)
+        np.bitwise_or.at(first, lo, bits)
+        last = np.zeros_like(first)
+        np.bitwise_or.at(last, hi - 1, bits)
+        self.first = np.bitwise_or.accumulate(first)
+        self.last = np.bitwise_or.accumulate(last[::-1])[::-1]
+
+    def anchors(self, length: int) -> np.ndarray:
+        """Ascending starts of a ``length``-long window: both ends of the
+        axis and every resident edge the window can touch (``p -
+        length``, ``p`` and ``p + extent`` for a resident at ``p``)."""
+        top = self.size - length
+        flags = self.starts[length:] | self.edges[:top + 1]
+        flags[0] = flags[top] = True
+        return np.flatnonzero(flags)
+
+    def bands(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """The bits of the residents overlapping each ``length``-long
+        window at ``starts``: those beginning at or before its last line
+        and ending at or after its first."""
+        return self.first[starts + length - 1] & self.last[starts]
+
+
+def _lift(state: dict, blockers: list[int]) -> int:
+    """The packed grid with ``blockers`` lifted: free sites plus their
+    footprints."""
+    lifted = state["packed"]
+    masks = state["blocker_masks"]
+    for p in blockers:
+        lifted |= masks[p]
+    return lifted
+
+
+def _extents_row(state: dict, lifted: int, shape: int) -> list[int]:
+    """The stored extents row of one (blocker set, shape) pair from its
+    packed lifted grid: ``(top + height, -bottom, left + width,
+    -right)`` over the shape's anchors
+    (:func:`~repro.placement.bitgrid.anchor_extents`), as in
+    :meth:`DefragPlanner._pair_extents`."""
+    height, width = state["shapes"][shape]
+    found = anchor_extents(lifted, state["stride"], height, width)
+    if found is None:
+        return [_NO_ANCHOR] * 4
+    return [found[0] + height, -found[1], found[2] + width, -found[3]]
+
+
+def _members(key: int) -> list[int]:
+    """The residents of a blocker set, largest first."""
+    members = []
+    while key:
+        low = key & -key
+        members.append(low.bit_length() - 1)
+        key ^= low
+    return members
+
+
+def _member_rows(keys: list[int], count: int) -> np.ndarray:
+    """Blocker sets as 0/1 rows over ``count`` residents (column ``p``
+    is bit ``p``)."""
+    size = -(-count // 8)
+    raw = np.frombuffer(b"".join(key.to_bytes(size, "little")
+                                 for key in keys), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(keys), size), axis=1,
+                         count=count, bitorder="little")
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a non-empty array."""
+    ordered = np.sort(codes)
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
+
+
+def _slab_masks(state: dict) -> dict:
+    """The slab screen's inputs, built on a token's first slab: the
+    free rows as uint64 masks, every resident's rows as two float64
+    halves, and the blocker shapes' heights and widths."""
+    slab = state.get("slab")
+    if slab is not None:
+        return slab
+    rows = state["rows"]
+    pr, pc, ph, pw = (
+        np.array(column, dtype=np.int64) for column in zip(*(
+            (rect.row, rect.col, rect.height, rect.width)
+            for _, rect in state["print_items"]
+        ))
+    )
+    spans = (((np.uint64(1) << pw.astype(np.uint64)) - np.uint64(1))
+             << pc.astype(np.uint64))
+    rows_idx = np.arange(rows)
+    covers = (pr[:, None] <= rows_idx[None, :]) \
+        & (rows_idx[None, :] < pr[:, None] + ph[:, None])
+    blocker_rows = np.where(covers, spans[:, None], np.uint64(0))
+    slab = state["slab"] = {
+        "base": np.array(state["row_bits"], dtype=np.uint64),
+        # Both 32-bit halves of every span mask as float64: a sum of
+        # disjoint sub-2^32 masks is exact, so the slab lifts many
+        # blocker sets at once through two BLAS products.
+        "blocker_lo": (blocker_rows & np.uint64(0xFFFFFFFF))
+        .astype(np.float64),
+        "blocker_hi": (blocker_rows >> np.uint64(32)).astype(np.float64),
+        "heights": np.array([h for h, _ in state["shapes"]],
+                            dtype=np.int64),
+        "widths": np.array([w for _, w in state["shapes"]],
+                           dtype=np.int64),
+    }
+    return slab

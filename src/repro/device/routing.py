@@ -101,13 +101,6 @@ class RoutePath:
             cols.update(s.columns())
         return cols
 
-    def nodes(self) -> list[ClbCoord]:
-        """Switch matrices traversed, source first."""
-        out = [self.source]
-        for s in self.segments:
-            out.append(s.b)
-        return out
-
     def is_contiguous(self) -> bool:
         """Structural sanity: segments chain from source to sink."""
         at = self.source

@@ -105,12 +105,6 @@ class MappedDesign:
         except KeyError:
             raise MappingError(f"cell {cell_name!r} is not placed") from None
 
-    def cells_at(self, clb: ClbCoord) -> list[str]:
-        """Cells placed in a given CLB."""
-        return [
-            name for name, site in self.placement.items() if site.clb == clb
-        ]
-
     def connected_cells(self, cell_name: str) -> list[str]:
         """Cells sharing a net with ``cell_name`` (fan-in drivers and
         fan-out readers) — their sites determine the columns a relocation

@@ -30,6 +30,7 @@ import json
 import signal
 import sys
 
+from repro.sched.workload import WorkloadSpec, get_workload
 from repro.stack import AXES
 
 from . import checkpoint
@@ -151,15 +152,14 @@ async def _serve(args: argparse.Namespace, service: ReproService) -> int:
     return 0
 
 
-def _replay(args: argparse.Namespace, service: ReproService) -> int:
+def _replay(args: argparse.Namespace, service: ReproService,
+            workload: WorkloadSpec) -> int:
     """Replay mode: drive the door in-process and print the summary."""
     from repro.campaign.replay import replay_workload
-    from repro.sched.workload import get_workload
 
     spec_kwargs = {}
-    size_param = get_workload(args.replay).size_param
-    if size_param:
-        spec_kwargs[size_param] = args.replay_tasks
+    if workload.size_param:
+        spec_kwargs[workload.size_param] = args.replay_tasks
     summary = replay_workload(
         service, args.replay, seed=args.replay_seed,
         tenants=tuple(args.replay_tenants) or ("default",),
@@ -171,16 +171,18 @@ def _replay(args: argparse.Namespace, service: ReproService) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point: replay mode or serve-until-shutdown.  A malformed
-    config prints one ``error:`` line and exits 2."""
+    config or an unknown replay workload prints one ``error:`` line and
+    exits 2."""
     args = build_parser().parse_args(argv)
     try:
+        workload = get_workload(args.replay) if args.replay else None
         service = _build_service(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}",
               file=sys.stderr)
         return 2
-    if args.replay:
-        return _replay(args, service)
+    if workload is not None:
+        return _replay(args, service, workload)
     return asyncio.run(_serve(args, service))
 
 

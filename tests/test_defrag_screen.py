@@ -9,8 +9,13 @@ widest the slab's uint64 rows hold, past the 52 columns a float64 mask
 holds) and from 65 to 128 columns, resolves several shapes at one token
 and then more shapes at the same token, so later calls read (blocker
 set, shape) extents stored by earlier ones, and runs each screen path
-on every example: the per-window Python path and the numpy slab.
-Grids wider than 64 columns always take the Python path.
+on every example: the per-window Python path and the numpy slab, whose
+new pairs are then all computed in slabs (the per-window path computes
+them one at a time, as the slab does for small batches).  Grids wider
+than 64 columns always take the Python path.  A window's blocker set is
+one integer over the residents numbered largest first; the brute force
+reads the blockers off the grid and checks that integer, and a fixed
+grid of a few hundred residents holds sets past one 64-bit word.
 """
 
 from unittest import mock
@@ -62,15 +67,17 @@ def unscreened() -> DefragPlanner:
     """A planner that sends every window to the relocation search."""
     planner = DefragPlanner()
     planner._screen_windows = lambda occupancy, state, groups: [
-        np.ones(group[0].shape[0], dtype=bool) for group in groups
+        np.ones(len(group[0]), dtype=bool) for group in groups
     ]
     return planner
 
 
 def forced(path: str):
-    """Send every screen call down one path, whatever its window count."""
-    return mock.patch.object(defrag, "SCREEN_SLAB_MIN",
-                             10**9 if path == "scalar" else 0)
+    """Send every screen call down one path, whatever its window count;
+    the slab computes all of its new pairs in slabs, however few."""
+    return mock.patch.multiple(
+        defrag, SCREEN_SLAB_MIN=10**9 if path == "scalar" else 0,
+        PAIR_SLAB_MIN=0)
 
 
 @pytest.mark.slow
@@ -98,14 +105,20 @@ def check_same_plans(occ, first, second):
         assert DefragPlanner().plan(occ, height, width) == expected
 
 
-def brute_force_keep(occ, state, member, wr, wc, height, width):
+def brute_force_keep(occ, state, keys, wr, wc, height, width):
     """The screen's definition, one window at a time on numpy grids:
     keep a window iff every blocker's shape fits somewhere in the grid
-    with all its blockers lifted and the target reserved."""
+    with all its blockers lifted and the target reserved.  The blockers
+    are read off the grid; each window's key must be exactly their set,
+    bit ``p`` naming the state's resident ``p``."""
+    index = {owner: p for p, (owner, _) in enumerate(state["print_items"])}
     keep = []
-    for row, top, left in zip(member, wr, wc):
+    for key, top, left in zip(keys, wr, wc):
+        owners = np.unique(occ[top:top + height, left:left + width])
+        members = [index[owner] for owner in owners.tolist() if owner]
+        assert key == sum(1 << p for p in members)
         grid = occ.copy()
-        blockers = [state["print_items"][p][1] for p in np.flatnonzero(row)]
+        blockers = [state["print_items"][p][1] for p in members]
         for rect in blockers:
             grid[rect.row:rect.row_end, rect.col:rect.col_end] = 0
         grid[top:top + height, left:left + width] = -1
@@ -123,13 +136,16 @@ def test_screen_verdicts_match_brute_force(path, occ, shapes):
     extents test neither drops a window nor keeps one it could drop."""
     planner = DefragPlanner()
     state = planner._evict_state(occ, footprints(occ), {})
+    # Residents are numbered largest first.
+    areas = [rect.area for _, rect in state["print_items"]]
+    assert areas == sorted(areas, reverse=True)
     rows, cols = occ.shape
     groups = []
     for height, width in shapes:
         if height <= rows and width <= cols and state["print_items"]:
             win = planner._eviction_windows(occ, state, height, width)
             if win is not None:
-                groups.append((win[0], win[2], win[3], height, width))
+                groups.append((*win, height, width))
     if not groups:
         return
     with forced(path):
@@ -178,3 +194,52 @@ def test_screen_reuses_pairs_within_a_token(path, cols):
         for height, width in [(3, 3), (3, 4), (3, 5)]:
             assert planner.plan(occ, height, width) \
                 == unscreened().plan(occ, height, width)
+
+
+def _dominoes(cols: int) -> np.ndarray:
+    """A row pair of 2x4 residents over eight rows of 1x2 residents,
+    every seventh 1x2 one removed: the holes are lone 1x2 gaps, so every
+    request of 2x2 or 1x3 and more needs an eviction, a window over a
+    2x4 resident has nowhere to send it, and the residents number in the
+    hundreds."""
+    occ = np.zeros((10, cols), dtype=np.int32)
+    owner = 0
+    for col in range(0, cols - 3, 4):
+        owner += 1
+        occ[0:2, col:col + 4] = owner
+    for row in range(2, 10):
+        for col in range(0, cols - 1, 2):
+            owner += 1
+            if owner % 7:
+                occ[row, col:col + 2] = owner
+    return occ
+
+
+@pytest.mark.parametrize("cols", [64, 128])
+@pytest.mark.parametrize("path", ["scalar", "slab"])
+def test_screen_past_one_word_of_residents(path, cols):
+    """Blocker sets of more than 64 residents span several 64-bit
+    words: every verdict still equals the brute force, and every plan
+    the unscreened planner's.  At 128 columns both paths run the
+    per-window Python screen."""
+    occ = _dominoes(cols)
+    shapes = [(2, 3), (3, 4), (2, 5), (4, 2)]
+    planner = DefragPlanner()
+    state = planner._evict_state(occ, footprints(occ), {})
+    assert len(state["print_items"]) > 3 * 64
+    groups = [(*planner._eviction_windows(occ, state, height, width),
+               height, width) for height, width in shapes]
+    # Some window's set reaches past the first word.
+    assert max(key.bit_length() for group in groups for key in group[0]) \
+        > 64
+    with forced(path):
+        for _ in range(2):
+            keeps = planner._screen_windows(occ, state, groups)
+            for keep, group in zip(keeps, groups):
+                assert np.array_equal(
+                    keep, brute_force_keep(occ, state, *group))
+        assert any(keep.any() for keep in keeps)
+        assert not all(keep.all() for keep in keeps)
+        check_same_plans(occ, shapes[:2], shapes[2:])
+    assert all(DefragPlanner().plan(occ, height, width) is not None
+               for height, width in shapes)

@@ -562,10 +562,12 @@ def test_mid_run_snapshot_restore_snapshot_is_the_identity():
 
 
 @pytest.mark.parametrize("flags", [["--queue", "bogus"],
-                                   ["--fleet-size", "0"]])
+                                   ["--fleet-size", "0"],
+                                   ["--replay", "bogus"]])
 def test_service_cli_refuses_a_malformed_config(flags):
-    """A config the service refuses ends the daemon with one ``error:``
-    line and exit status 2 before it serves anything."""
+    """A config or replay workload the service refuses ends the daemon
+    with one ``error:`` line and exit status 2 before it serves or
+    replays anything."""
     proc = subprocess.run(
         [sys.executable, "-m", "repro.service", "--port", "0", *flags],
         capture_output=True, text=True, timeout=60, cwd=REPO,

@@ -115,22 +115,22 @@ def _perf(probes, shape, dominance, fleet, calls, windows, hits, misses,
 #: cell -> (PERF snapshot, (fit hits, fit misses)).
 BUDGETS = {
     "xc2s15-fifo-serial": (
-        _perf(275, 208, 7, 0, 128, 2759, 259, 1631, 176, 698, 0),
+        _perf(275, 208, 7, 0, 128, 2759, 168, 1076, 176, 698, 0),
         (550, 275)),
     "xc2s15-backfill-icap": (
-        _perf(2112, 5314, 1744, 0, 246, 18882, 389, 7850, 747, 4784, 0),
+        _perf(2112, 5314, 1744, 0, 246, 18882, 217, 4713, 747, 4784, 0),
         (4767, 3240)),
     "xc2s15-fleet2-priority-serial": (
-        _perf(319, 186, 12, 0, 234, 3863, 443, 2039, 231, 1022, 0),
+        _perf(319, 186, 12, 0, 234, 3863, 285, 1357, 231, 1022, 0),
         (1183, 474)),
     "xc2s30-fleet4-least-loaded": (
-        _perf(178, 52, 0, 0, 239, 3403, 740, 973, 193, 841, 0),
+        _perf(178, 52, 0, 0, 239, 3403, 483, 713, 193, 841, 0),
         (1082, 518)),
     "xcv200-backfill-icap": (
-        _perf(553, 823, 0, 0, 142, 101177, 15275, 49905, 3172, 8010, 0),
+        _perf(553, 823, 0, 0, 142, 101177, 5613, 18889, 3172, 8010, 0),
         (1139, 689)),
     "xcv1000-fifo-serial": (
-        _perf(116, 78, 0, 0, 71, 14082, 14155, 5488, 275, 0, 724),
+        _perf(116, 78, 0, 0, 71, 14082, 5114, 2659, 275, 0, 724),
         (232, 116)),
 }
 

@@ -152,10 +152,32 @@ MUTANTS = (
 """,
         mutated="""\
         set_ids = state["set_ids"]
-        state["known"] = np.zeros(0, dtype=bool)
-        state["extents"] = np.empty((0, 4), dtype=np.int64)
+        state["known"][:] = False
 """,
         tests=(_BUDGET,),
+    ),
+    # The slab screen decides every window on its largest blocker, then
+    # checks the survivors' other blockers; without that second stage
+    # the relocation search sees windows the screen should have dropped.
+    Mutant(
+        name="screen-skips-the-survivor-check",
+        path="src/repro/core/defrag.py",
+        original="        if rest:\n",
+        mutated="        if False:\n",
+        tests=(f"{_BUDGET}[xcv200-backfill-icap]",),
+    ),
+    Mutant(
+        name="blocker-key-row-band-only",
+        path="src/repro/core/defrag.py",
+        original="sets = (row_band[:, None] & col_band[None]).reshape(",
+        mutated=("sets = (row_band[:, None] "
+                 "| (col_band[None] & np.uint64(0))).reshape("),
+        tests=("tests/test_defrag_screen.py::"
+               "test_screen_verdicts_match_brute_force",
+               "tests/test_defrag_screen.py::"
+               "test_screen_past_one_word_of_residents",
+               "tests/test_golden_campaign.py::"
+               "test_golden_campaign_snapshot"),
     ),
     Mutant(
         name="negative-content-length-read",
