@@ -16,7 +16,10 @@ Three snapshots are pinned:
 * ``campaign_fleet.json`` — a 16-run fleet-size x device-selection
   policy grid over the surge workload, pinning the multi-fabric layer
   (and, together with ``tests/test_fleet.py``'s force-fleet run of the
-  24-run grid, the claim that a 1-member fleet changes nothing).
+  24-run grid, the claim that a 1-member fleet changes nothing);
+* ``campaign_apps.json`` — a 96-run grid of application chains (Fig. 1
+  and codec-swap) x policy x prefetch mode x fleet size x queue, the
+  only snapshot of the application scheduler.
 
 The first two grids run entirely on the default ``fifo`` + ``serial``
 policies, so they double as the proof that the kernel refactor is
@@ -45,6 +48,7 @@ GOLDEN_DEFRAG_PATH = GOLDEN_DIR / "campaign_defrag.json"
 GOLDEN_SCHED_PATH = GOLDEN_DIR / "campaign_sched.json"
 GOLDEN_FLEET_PATH = GOLDEN_DIR / "campaign_fleet.json"
 GOLDEN_FAULTS_PATH = GOLDEN_DIR / "campaign_faults.json"
+GOLDEN_APPS_PATH = GOLDEN_DIR / "campaign_apps.json"
 
 #: The CLI's default grid axes with a fast task count; any edit here
 #: requires regenerating the snapshot.
@@ -107,6 +111,26 @@ GOLDEN_FAULTS_GRID = dict(
     fleet_sizes=[2],
     faults=["none", "kill-member", "outbreak", "flaky-port"],
     workload_params={"fleet-surge": {"n": 24}},
+)
+
+#: The application grid: function chains under both rearranging
+#: policies, every prefetch mode, one and two fabrics and two queue
+#: disciplines, with the idle-port defrag trigger (1 device x 2 policies
+#: x 2 workloads x 2 seeds x 3 prefetch modes x 2 fleet sizes x 2
+#: queues = 96 runs).  Codec-swap runs eight apps twice through their
+#: chains: at the default four, neither a blocking admission pass nor
+#: reordered owner ids moves a row.
+GOLDEN_APPS_GRID = dict(
+    devices=["XC2S15"],
+    policies=["halt", "concurrent"],
+    workloads=["fig1", "codec-swap"],
+    seeds=[1, 3],
+    prefetches=["never", "cache", "plan"],
+    fleet_sizes=[1, 2],
+    queues=["fifo", "sjf"],
+    defrags=["idle"],
+    workload_params={"codec-swap": {"n_apps": 8, "repeats": 2,
+                                    "priority_levels": 3}},
 )
 
 #: Integer-valued metric columns are compared exactly; the rest admit
@@ -263,6 +287,29 @@ def test_golden_faults_snapshot():
     for row in by_plan["flaky-port"]:
         assert row["port_retry_seconds"] == pytest.approx(2.4)
     check_against_snapshot(rows, GOLDEN_FAULTS_PATH)
+
+
+def test_golden_apps_snapshot():
+    rows = run_grid(GOLDEN_APPS_GRID)
+    assert len(rows) == 96
+    # The grid exercises what it pins: codec-swap chains rearrange, the
+    # idle trigger consolidates, and the bitstream cache hits ...
+    swaps = [row for row in rows if row["workload"] == "codec-swap"]
+    assert all(row["rearrangements"] > 0 for row in swaps)
+    assert sum(row["proactive_defrags"] for row in rows) > 0
+    assert sum(row["prefetch_hits"] for row in rows
+               if row["prefetch"] != "never") > 0
+    # ... and the queue discipline orders waiting functions: some cell
+    # comes out differently under fifo than under sjf.
+    by_queue: dict[str, dict[tuple, tuple]] = {"fifo": {}, "sjf": {}}
+    for row in rows:
+        cell = (row["policy"], row["workload"], row["seed"],
+                row["prefetch"], row["fleet_size"])
+        by_queue[row["queue"]][cell] = (row["makespan"],
+                                        row["stall_seconds"])
+    assert by_queue["fifo"].keys() == by_queue["sjf"].keys()
+    assert by_queue["fifo"] != by_queue["sjf"]
+    check_against_snapshot(rows, GOLDEN_APPS_PATH)
 
 
 @pytest.mark.parametrize(
