@@ -1,14 +1,14 @@
 """The scheduling kernel: shared machinery under both schedulers.
 
-Historically :class:`~repro.sched.scheduler.OnlineTaskScheduler` and
-:class:`~repro.sched.scheduler.ApplicationFlowScheduler` each hand-rolled
-the same ~150 lines: an event queue, a serial reconfiguration port,
+:class:`SchedulingKernel` owns, once for
+:class:`~repro.sched.scheduler.OnlineTaskScheduler` and
+:class:`~repro.sched.scheduler.ApplicationFlowScheduler`, the event
+queue, the reconfiguration ports, the admission path (the waiting
+queue, the failure record, ``manager.request`` and the ``on_admitted``
+callback), the record of placed work that rearrangements move, the
 HALT-extension arithmetic for moved-while-running functions, the
-proactive-defrag hook and fragmentation/utilization sampling — and both
-hardwired strict-FIFO admission over a single serial port.
-
-:class:`SchedulingKernel` owns all of that once, behind two policy
-axes supplied at construction:
+proactive-defrag hook and fragmentation/utilization sampling, behind
+two policy axes supplied at construction:
 
 * a :class:`~repro.sched.queues.QueueDiscipline` deciding *admission
   order* of waiting work (``fifo`` / ``priority`` / ``sjf`` /
@@ -18,9 +18,8 @@ axes supplied at construction:
 
 The schedulers are thin strategy layers: they translate their workload
 shape (independent tasks, application chains) into kernel calls and
-keep only the bookkeeping unique to that shape.  With the default
-``fifo`` + ``serial`` policies the kernel is event-for-event identical
-to the historical schedulers — the golden campaign snapshots pin it.
+keep only the bookkeeping unique to that shape.  The golden campaign
+snapshots pin the event stream of both.
 
 The kernel also carries the *device axis*: it drives a
 :class:`~repro.fleet.manager.FleetManager` (a bare manager is wrapped as
@@ -89,8 +88,10 @@ class ScheduleMetrics:
     utilization_total: float = 0.0
     sample_count: int = 0
     latest_sample: tuple = (0.0, 0.0, ())
-    #: application-flow extras (zero for independent-task runs):
-    #: reconfiguration-induced stall and prefetch success counts.
+    #: application-flow extras (zero for independent-task runs), kept
+    #: as running totals by the chain scheduler: reconfiguration-induced
+    #: stall, functions configured strictly before they started, and
+    #: functions that became ready or were configured ahead.
     stall_seconds: float = 0.0
     prefetched_functions: int = 0
     total_functions: int = 0
@@ -189,27 +190,27 @@ class Admissible(Protocol):
 
 @dataclass(slots=True)
 class Running:
-    """One executing owner: its work item (kept at its current
-    ``rect`` and charged its ``halted_seconds``), the finish action and
-    the pending finish event."""
+    """One placed owner: its work item (kept at its current ``rect``
+    and, while executing, charged its ``halted_seconds``), the finish
+    action and the pending finish event — both ``None`` while the owner
+    is held, placed ahead of its start (see
+    :meth:`SchedulingKernel.hold`)."""
 
     item: Any
-    on_finish: Callable[[], None]
-    handle: EventHandle
+    on_finish: Callable[[], None] | None
+    handle: EventHandle | None
 
 
 class SchedulingKernel:
     """Event queue + port + HALT arithmetic + defrag hook + sampling.
 
-    The strategy layer provides two callbacks:
-
-    * ``on_admitted(item, outcome)`` — a waiting item was successfully
-      placed by the admission loop (:meth:`drain`): charge its port
-      time, register its execution, record its telemetry;
-    * ``on_space_reclaimed()`` — a proactive consolidation just freed
-      contiguous space: wake whatever workload shape is waiting for it
-      (the task layer re-drains its queue, the application layer
-      retries stalled apps).
+    Every placement goes through one probe: the failure record, then
+    ``manager.request``, then the strategy layer's
+    ``on_admitted(item, outcome)``, which charges the item's port time,
+    registers it in :attr:`running` and records its telemetry.  The
+    probe runs for each candidate of an admission pass over the waiting
+    queue (:meth:`admit_waiting`, :meth:`drain`) and for a single item
+    outside the queue (:meth:`admit`).
 
     The optional ``on_recovered(item, fate, outcome)`` takes the
     work-specific step after fault recovery (:attr:`faults`) settled a
@@ -227,7 +228,6 @@ class SchedulingKernel:
         ports: str | PortModel = "serial",
         on_admitted: Callable[[Admissible, PlacementOutcome], None]
         | None = None,
-        on_space_reclaimed: Callable[[], None] | None = None,
         prefetch: str = "never",
         on_recovered: Callable[[Any, str, PlacementOutcome], None]
         | None = None,
@@ -270,15 +270,15 @@ class SchedulingKernel:
         self.last_config_seconds = 0.0
         self.metrics = ScheduleMetrics()
         self.on_admitted = on_admitted
-        self.on_space_reclaimed = on_space_reclaimed
         self.on_recovered = on_recovered
         #: called at the end of every :meth:`sample` (see the class
         #: docstring); the service sets it, batch runs leave it unset.
         self.on_sample: Callable[[], None] | None = None
         #: the fault machinery (see :mod:`repro.faults.recovery`).
         self.faults = FaultRecovery(self)
-        #: owner -> executing work, so moves can follow its item and
-        #: HALT-policy stops can push its finish event out.
+        #: owner -> placed work, executing or held until it starts, so
+        #: moves can follow its item and HALT-policy stops can push an
+        #: executing item's finish event out.
         self.running: dict[int, Running] = {}
         #: the admission failure record: each shape that failed to place
         #: against the current occupancy, mapped to its dominance
@@ -294,7 +294,7 @@ class SchedulingKernel:
         #: the occupancy the record speaks about: every member's
         #: free-space generation when it was last emptied.  Every
         #: allocation, release, move or adoption bumps some member's
-        #: generation, so :meth:`_admit_pass` empties the record the
+        #: generation, so :meth:`_sync_record` empties the record the
         #: moment the stamp moves — no caller has to report a change.
         self._failed_stamp: tuple[int, ...] | None = None
         #: external-clock pause flag: while paused, admission passes are
@@ -395,6 +395,14 @@ class SchedulingKernel:
         self.queue.discard(item)
         self.drain()
 
+    def _sync_record(self) -> None:
+        """Empty the failure record if the occupancy it speaks about
+        moved (some member's free-space generation changed)."""
+        stamp = tuple(m.free_space.generation for m in self.manager.members)
+        if stamp != self._failed_stamp:
+            self._failed_shapes.clear()
+            self._failed_stamp = stamp
+
     def _shape_blocked(self, height: int, width: int,
                        count: bool = True) -> bool:
         """Whether the failure record proves this footprint cannot place.
@@ -454,54 +462,64 @@ class SchedulingKernel:
             self.manager.prefetch_admission(shapes)
 
     def drain(self) -> None:
-        """Place waiting items in discipline order until blocked.
-
-        One *pass* asks the discipline for its candidate order and
-        attempts each; a successful placement restarts the pass (the
-        order may have changed), a failed one enters its shape in the
-        failure record so no request of that shape (or, with a dominance
-        certificate, of any larger one) is re-planned until the
-        occupancy actually changes: every pass first compares the
-        members' free-space generations with the record's stamp and
-        empties the record when they moved.  While the kernel is paused
-        (checkpoint window), the pass is deferred to :meth:`resume`.
-
-        After the pass settles, the prefetch planner gets one look at
-        the port-idle windows the pass left behind
-        (:meth:`maybe_prefetch`; a no-op outside ``plan`` mode).
-        """
+        """Place waiting items (:meth:`admit_waiting`), then give the
+        prefetch planner one look at the port-idle windows the pass
+        left behind (:meth:`maybe_prefetch`; a no-op outside ``plan``
+        mode).  While the kernel is paused (checkpoint window), both
+        are deferred to :meth:`resume`."""
         if self._paused:
             return
-        self._admit_pass()
+        self.admit_waiting()
         self.maybe_prefetch()
 
-    def _admit_pass(self) -> None:
-        """The admission loop behind :meth:`drain` (see there)."""
-        members = self.manager.members
+    def admit_waiting(self) -> None:
+        """Place waiting items in discipline order until blocked.
+
+        One *pass* asks the discipline for its candidate order
+        (``scan``) and probes each; a successful placement restarts the
+        pass (the order may have changed), a failed one enters its shape
+        in the failure record so no request of that shape (or, with a
+        dominance certificate, of any larger one) is re-planned until
+        the occupancy actually changes: every pass first compares the
+        members' free-space generations with the record's stamp and
+        empties the record when they moved.
+        """
         while len(self.queue):
-            stamp = tuple(m.free_space.generation for m in members)
-            if stamp != self._failed_stamp:
-                self._failed_shapes.clear()
-                self._failed_stamp = stamp
+            self._sync_record()
             self._prefetch()
-            placed = False
             for item in self.queue.scan(self.events.now):
-                if self._shape_blocked(item.height, item.width):
-                    continue  # same occupancy, same answer: skip replan
-                PERF.admission_probes += 1
-                outcome = self.manager.request(
-                    item.height, item.width, item.task_id
-                )
-                if outcome.success:
+                outcome = self._probe(item)
+                if outcome is not None:
                     self.queue.take(item)
                     if self.on_admitted is not None:
                         self.on_admitted(item, outcome)
-                    placed = True
                     break
-                self._failed_shapes[item.height, item.width] = \
-                    outcome.dominant
-            if not placed:
+            else:
                 return
+
+    def admit(self, item: Admissible) -> bool:
+        """Probe ``item`` once, outside the waiting queue, and report
+        whether it was placed (``on_admitted`` has then run).  A failure
+        enters the failure record like a failed candidate of a pass."""
+        self._sync_record()
+        outcome = self._probe(item)
+        if outcome is None:
+            return False
+        if self.on_admitted is not None:
+            self.on_admitted(item, outcome)
+        return True
+
+    def _probe(self, item: Admissible) -> PlacementOutcome | None:
+        """The failure record, then ``manager.request``: the successful
+        outcome, or ``None`` after recording the failed shape."""
+        if self._shape_blocked(item.height, item.width):
+            return None  # same occupancy, same answer: skip replan
+        PERF.admission_probes += 1
+        outcome = self.manager.request(item.height, item.width, item.task_id)
+        if outcome.success:
+            return outcome
+        self._failed_shapes[item.height, item.width] = outcome.dominant
+        return None
 
     # -- port + HALT accounting ---------------------------------------------
 
@@ -720,6 +738,12 @@ class SchedulingKernel:
             if request.device != index
         }
 
+    def hold(self, owner: int, item: Any) -> None:
+        """Register ``owner`` as placed ahead of its start: moves keep
+        ``item.rect`` current, but charge it no HALT seconds, until
+        :meth:`start_running` gives it a finish event."""
+        self.running[owner] = Running(item, None, None)
+
     def start_running(self, owner: int, finish_time: float,
                       on_finish: Callable[[], None], item: Any) -> None:
         """Register ``owner`` as executing ``item`` (anything with a
@@ -733,27 +757,28 @@ class SchedulingKernel:
 
     def stop_running(self, owner: int) -> Running | None:
         """Stop ``owner`` before its finish (a cancel, or a fault
-        displacing it): its finish event is cancelled and its region
-        released.  Returns its entry, or ``None`` when it was not
-        running."""
+        displacing it): its finish event, if any, is cancelled and its
+        region released.  Returns its entry, or ``None`` when it was not
+        placed."""
         entry = self.running.pop(owner, None)
         if entry is not None:
-            entry.handle.cancel()
+            if entry.handle is not None:
+                entry.handle.cancel()
             self.manager.release(owner)
         return entry
 
     def apply_moves(self, outcome: PlacementOutcome | DefragOutcome) -> None:
-        """Follow each executed move on the running item it moved: the
+        """Follow each executed move on the placed item it moved: the
         item's ``rect`` becomes the move's target, and under the HALT
-        policy the item is charged its stopped interval and its finish
-        time extended by it — the cost the paper's concurrent
-        relocation eliminates."""
+        policy an executing item is charged its stopped interval and its
+        finish time extended by it — the cost the paper's concurrent
+        relocation eliminates (a held item loses no execution)."""
         for execution in outcome.moves:
             entry = self.running.get(execution.move.owner)
             if entry is None:
                 continue
             entry.item.rect = execution.move.dst
-            if not execution.halted:
+            if not execution.halted or entry.handle is None:
                 continue
             self.metrics.halted_seconds += execution.seconds
             entry.item.halted_seconds += execution.seconds
@@ -774,8 +799,8 @@ class SchedulingKernel:
         (background compaction competes with arrivals for that fabric's
         configuration bandwidth, never a sibling's).  HALT-policy stops
         are applied to the moved items; if any device consolidated,
-        ``on_space_reclaimed`` wakes waiting work once — the reclaimed
-        space may now host something that failed before.  Returns the
+        waiting work gets one :meth:`drain` — the reclaimed space may
+        now host something that failed before.  Returns the
         last executed outcome (the single device's outcome on a 1-member
         fleet), or ``None`` when no trigger fired.
         """
@@ -804,8 +829,6 @@ class SchedulingKernel:
         # the same instant must not weight it several times (a single
         # device fires at most one outcome here — unchanged).
         self.sample()
-        if self.on_space_reclaimed is not None:
-            self.on_space_reclaimed()
         self.drain()
         return fired
 

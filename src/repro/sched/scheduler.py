@@ -16,24 +16,22 @@ Two experiment drivers, both thin strategy layers over the shared
   stalls, which is exactly the effect Fig. 1 illustrates.
 
 The kernel owns the event queue, the reconfiguration-port model, the
-HALT-extension arithmetic, the proactive-defrag hook and the
-fragmentation/utilization sampling; the schedulers translate their
-workload shape into kernel calls.  Both take the same two policy knobs:
+admission path, the HALT-extension arithmetic, the proactive-defrag
+hook and the fragmentation/utilization sampling; the schedulers
+translate their workload shape into kernel calls and keep their
+results as running totals on the kernel's metrics.  Both take the same
+two policy knobs:
 
 * ``queue`` — a :mod:`~repro.sched.queues` discipline name (``fifo``,
   ``priority``, ``sjf``, ``backfill``) ordering waiting tasks (or, for
-  the application scheduler, stalled applications);
+  the application scheduler, waiting functions);
 * ``ports`` — a :mod:`~repro.sched.ports` model (``serial``,
   ``multi-N``, ``icap``) serving configuration and relocation traffic.
 
-With the defaults (``fifo`` + ``serial``) both schedulers reproduce the
-historical hand-rolled behaviour event for event; the golden campaign
-snapshots pin it.
+The golden campaign snapshots pin both event streams.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.core.manager import PlacementOutcome
 
@@ -52,7 +50,6 @@ __all__ = [
     "ApplicationFlowScheduler",
     "OnlineTaskScheduler",
     "ScheduleMetrics",
-    "summarize_application_runs",
 ]
 
 
@@ -90,53 +87,6 @@ def _exposed_config_seconds(record: ApplicationRun) -> float:
             break
         ready = run.finished_at
     return exposed
-
-
-def summarize_application_runs(
-    runs: list[ApplicationRun],
-    makespan: float = 0.0,
-    port_busy_seconds: float = 0.0,
-) -> ScheduleMetrics:
-    """Fold :class:`ApplicationRun` records into :class:`ScheduleMetrics`.
-
-    This gives the application-flow experiment the same result shape as
-    the independent-task experiment, so the campaign engine
-    (:mod:`repro.campaign`) can aggregate both uniformly: ``finished``
-    counts completed applications, ``turnaround_total`` sums per-app
-    completion times.  :meth:`ApplicationFlowScheduler.run` launches
-    every application at t = 0, so an application's absolute finish
-    time *is* its turnaround — measured from launch, not from its first
-    function's start, so time spent stalled waiting for the first
-    placement counts too (``ApplicationRun.makespan`` would exclude it).
-
-    ``stall_seconds`` is the time an application lost to *contention*:
-    elapsed time minus pure execution minus the configuration time that
-    was genuinely un-hidden (see :func:`_exposed_config_seconds`).
-    Subtracting the exposed configuration keeps the metric true to its
-    meaning — a solo application that simply pays its own configuration
-    up front reports zero stall, while waiting for space or for the
-    port behind other applications' traffic is counted in full.
-    """
-    out = ScheduleMetrics(
-        makespan=makespan, port_busy_seconds=port_busy_seconds
-    )
-    for record in runs:
-        if record.finished_at is not None:
-            out.finished += 1
-            out.turnaround_total += record.finished_at
-            out.stall_seconds += max(
-                0.0,
-                record.finished_at
-                - record.spec.total_exec_seconds
-                - _exposed_config_seconds(record),
-            )
-        else:
-            out.rejected += 1
-        out.total_functions += len(record.runs)
-        out.prefetched_functions += sum(
-            1 for r in record.runs if r.prefetched
-        )
-    return out
 
 
 class OnlineTaskScheduler:
@@ -280,6 +230,15 @@ class ApplicationFlowScheduler:
     :attr:`manager` is the kernel's fleet (function chains spread over
     it, each function configured on the member its device-selection
     policy picked).
+
+    Every function of a chain is placed on the kernel's admission path.
+    A ready function, and a successor configured ahead of its start,
+    get one probe (:meth:`SchedulingKernel.admit`); a ready function
+    that cannot be placed waits in the kernel's queue, which this
+    scheduler builds over its ``queue`` discipline so that a pass tries
+    every waiting function in the discipline's order.  A placed
+    function is held in ``kernel.running`` until it executes, so
+    rearrangements move its ``rect`` like any other resident's.
     """
 
     def __init__(self, manager,
@@ -290,15 +249,17 @@ class ApplicationFlowScheduler:
         self.prefetch = prefetch
         self.kernel = SchedulingKernel(
             manager,
+            queue=_EveryWaiting(queue),
             ports=ports,
             prefetch=prefetch_mode,
-            on_space_reclaimed=self._retry_stalled,
+            on_admitted=self._on_admitted,
         )
         self.manager = self.kernel.manager
-        self._owner_seq = 1000
-        #: stalled (application, function-index) records, woken in the
-        #: queue discipline's order whenever space is released.
-        self._stalled: QueueDiscipline = make_queue(queue)
+        #: the owner id the next placement takes.  A function probes
+        #: with it and takes it only when placed, so residents' ids
+        #: ascend in placement order, the order the rearrangement
+        #: planners break ties by.
+        self.next_owner = 1001
 
     @property
     def events(self):
@@ -312,182 +273,183 @@ class ApplicationFlowScheduler:
 
     @property
     def metrics(self) -> ScheduleMetrics:
-        """Aggregated run metrics (uniform summary after :meth:`run`)."""
+        """The kernel's run metrics: finished applications, their
+        completion times as turnaround, stall and prefetch counts."""
         return self.kernel.metrics
 
     def run(self, apps: list[ApplicationSpec]) -> list[ApplicationRun]:
         """Run every application to completion; returns their records.
 
-        The uniform summary of the run is left in :attr:`metrics`
-        (finished applications, per-app makespans as turnaround, stall
-        and prefetch counts) for the campaign engine.
+        Every application launches at t = 0, so an application's finish
+        time is its turnaround, and time spent waiting for the first
+        placement counts too.  An application whose function still waits
+        for space when the timeline runs dry is counted as rejected.
         """
-        states = [_AppState(ApplicationRun(app)) for app in apps]
-        for state in states:
-            self.events.at(0.0, lambda s=state: self._start_function(s, 0))
+        records = [ApplicationRun(app) for app in apps]
+        for record in records:
+            self.events.at(
+                0.0, lambda r=record: self._ready(self._function(r, 0))
+            )
         self.kernel.run()
-        runs = [s.record for s in states]
-        summary = summarize_application_runs(
-            runs,
-            makespan=self.events.now,
-            port_busy_seconds=self.kernel.port_busy_seconds,
-        )
-        summary.rearrangements = self.metrics.rearrangements
-        summary.moves = self.metrics.moves
-        summary.halted_seconds = self.metrics.halted_seconds
-        summary.proactive_defrags = self.metrics.proactive_defrags
-        summary.defrag_moves = self.metrics.defrag_moves
-        summary.defrag_port_seconds = self.metrics.defrag_port_seconds
-        summary.config_stall_seconds = self.metrics.config_stall_seconds
-        summary.prefetch_hits = self.metrics.prefetch_hits
-        summary.prefetch_loads = self.metrics.prefetch_loads
-        summary.cache_evictions = self.metrics.cache_evictions
-        self.kernel.metrics = summary
-        return runs
+        self.metrics.rejected += len(self.kernel.queue)
+        # Chain runs record no telemetry samples yet.
+        self.metrics.fragmentation_total = 0.0
+        self.metrics.utilization_total = 0.0
+        self.metrics.sample_count = 0
+        return records
 
     # -- internals ----------------------------------------------------------
 
-    def _next_owner(self) -> int:
-        self._owner_seq += 1
-        return self._owner_seq
+    def _function(self, record: ApplicationRun, index: int) -> "_Function":
+        """Function ``index`` of ``record``'s chain, with a fresh
+        execution record."""
+        fn = _Function(self, record, index)
+        record.runs.append(fn.run)
+        self.metrics.total_functions += 1
+        return fn
 
-    def _start_function(self, state: "_AppState", index: int) -> None:
-        """Begin function ``index``: it must be placed and configured."""
-        run = state.ensure_run(index)
-        if run.rect is None and not self._place_function(state, index):
-            # No space: stall until some function releases its region.
-            spec = state.record.spec
-            fn = spec.functions[index]
-            # The demand is *now*; preloading the bitstream while the
-            # application waits for space makes the eventual placement
-            # a resident hit.
+    def _ready(self, fn: "_Function") -> None:
+        """``fn``'s predecessor finished (or its chain launched).
+
+        A function configured ahead starts once its configuration
+        completes.  Any other gets one probe; if that fails its
+        bitstream is offered to the prefetch planner (the demand is
+        *now*: preloading it while the function waits for space makes
+        the eventual placement a resident hit) and it waits in the
+        kernel's queue.
+        """
+        now = self.events.now
+        if fn.owner is None and not self.kernel.admit(fn):
             self.kernel.offer_prefetch(
-                _function_key(fn), fn.height, fn.width,
-                next_use=self.events.now,
+                _function_key(fn.spec), fn.height, fn.width, next_use=now,
             )
             self.kernel.maybe_prefetch()
-            self._stalled.push(
-                _Stall(state, index),
-                priority=spec.priority,
-                area=fn.area,
-                now=self.events.now,
-            )
+            fn.parked = True
+            self.kernel.queue.push(fn, priority=fn.record.spec.priority,
+                                   area=fn.spec.area, now=now)
             return
-        start = max(self.events.now, run.configured_at or 0.0)
-        if start > self.events.now:
-            self.events.at(start, lambda: self._begin_execution(state, index))
+        if fn.run.configured_at > now:
+            self.events.at(fn.run.configured_at, lambda: self._begin(fn))
         else:
-            self._begin_execution(state, index)
+            self._begin(fn)
 
-    def _begin_execution(self, state: "_AppState", index: int) -> None:
-        run = state.record.runs[index]
-        run.started_at = self.events.now
-        spec = state.record.spec.functions[index]
-        # Register as running *before* prefetching: the successor's
-        # placement may trigger a rearrangement that moves this very
-        # function, and under HALT that move must find it executing.
-        self.kernel.start_running(
-            state.owners[index],
-            self.events.now + spec.exec_seconds,
-            lambda: self._finish_function(state, index),
-            run,
-        )
-        # Prefetch the successor during the reconfiguration interval rt.
-        if self.prefetch and index + 1 < len(state.record.spec.functions):
-            if not self._place_function(state, index + 1):
-                # Space prefetch failed (parallelism took the region);
-                # the *bitstream* can still be preloaded so the config
-                # is off the critical path once space frees up.
-                nxt = state.record.spec.functions[index + 1]
-                self.kernel.offer_prefetch(
-                    _function_key(nxt), nxt.height, nxt.width,
-                    next_use=self.events.now + spec.exec_seconds,
-                )
-                self.kernel.maybe_prefetch()
-
-    def _place_function(self, state: "_AppState", index: int) -> bool:
-        """Try to place + configure function ``index`` right now."""
-        run = state.ensure_run(index)
-        if run.rect is not None:
-            return True
-        spec = state.record.spec.functions[index]
-        owner = self._next_owner()
-        outcome = self.manager.request(spec.height, spec.width, owner)
-        if not outcome.success:
-            return False
+    def _on_admitted(self, fn: "_Function",
+                     outcome: PlacementOutcome) -> None:
+        """A function was placed: it takes the next owner id, its
+        configuration is charged and its region held until it starts.
+        One placed from the queue starts through an event when its
+        configuration completes."""
+        fn.owner = self.next_owner
+        self.next_owner += 1
         config_done = self.kernel.charge_placement(
-            outcome, key=_function_key(spec)
+            outcome, key=_function_key(fn.spec)
         )
+        run = fn.run
         run.rect = outcome.rect
         run.configured_at = config_done
         # What the port was actually charged — zero on a resident-cache
         # hit, so a hit's "configuration" is never counted as exposed.
         run.config_seconds = self.kernel.last_config_seconds
-        state.owners[index] = owner
-        return True
+        self.kernel.hold(fn.owner, run)
+        if fn.parked:
+            self.events.at(max(self.events.now, config_done),
+                           lambda: self._begin(fn))
 
-    def _finish_function(self, state: "_AppState", index: int) -> None:
-        run = state.record.runs[index]
-        run.finished_at = self.events.now
-        owner = state.owners.pop(index)
-        self.kernel.finish_running(owner)
-        self.manager.release(owner)
-        self._retry_stalled()
-        if index + 1 < len(state.record.spec.functions):
-            self._start_function(state, index + 1)
+    def _begin(self, fn: "_Function") -> None:
+        """Start executing ``fn`` and configure its successor ahead."""
+        now = self.events.now
+        run = fn.run
+        run.started_at = now
+        if run.prefetched:
+            self.metrics.prefetched_functions += 1
+        exec_seconds = fn.spec.exec_seconds
+        # Register as running *before* prefetching: the successor's
+        # placement may trigger a rearrangement that moves this very
+        # function, and under HALT that move must find it executing.
+        self.kernel.start_running(fn.owner, now + exec_seconds,
+                                  lambda: self._finish(fn), run)
+        # Prefetch the successor during the reconfiguration interval rt.
+        if self.prefetch and fn.index + 1 < len(fn.record.spec.functions):
+            fn.next = nxt = self._function(fn.record, fn.index + 1)
+            if not self.kernel.admit(nxt):
+                # Space prefetch failed (parallelism took the region);
+                # the *bitstream* can still be preloaded so the config
+                # is off the critical path once space frees up.
+                self.kernel.offer_prefetch(
+                    _function_key(nxt.spec), nxt.height, nxt.width,
+                    next_use=now + exec_seconds,
+                )
+                self.kernel.maybe_prefetch()
+
+    def _finish(self, fn: "_Function") -> None:
+        """``fn`` finished: release its region, let waiting functions
+        place, then start the chain's successor or close the chain."""
+        now = self.events.now
+        fn.run.finished_at = now
+        self.kernel.finish_running(fn.owner)
+        self.manager.release(fn.owner)
+        # Waiting functions get the released space first: one admission
+        # pass, without the prefetch planner.
+        self.kernel.admit_waiting()
+        record = fn.record
+        if fn.index + 1 < len(record.spec.functions):
+            self._ready(fn.next or self._function(record, fn.index + 1))
         else:
-            state.record.finished_at = self.events.now
+            record.finished_at = now
+            metrics = self.metrics
+            metrics.finished += 1
+            metrics.turnaround_total += now
+            metrics.stall_seconds += max(
+                0.0,
+                now - record.spec.total_exec_seconds
+                - _exposed_config_seconds(record),
+            )
         self.kernel.maybe_defrag()
 
-    def _retry_stalled(self) -> None:
-        """Space was released: wake stalled applications.
 
-        Every stalled record is attempted in the queue discipline's
-        order (FIFO by default); failures simply stay queued.  Because
-        *every* record is always attempted — one application's failed
-        placement never blocks the rest, the historical behaviour —
-        disciplines contribute only the retry order here: ``backfill``
-        has no blocked head to jump and therefore coincides with
-        ``fifo`` for application workloads.  The kernel invokes this
-        after a proactive defrag too — a background consolidation
-        frees contiguous space exactly like a finish event does, and a
-        stalled application must not stay stranded until the next
-        finish to benefit from it.
-        """
-        for stall in self._stalled.ordered(self.events.now):
-            state, index = stall.state, stall.index
-            if self._place_function(state, index):
-                self._stalled.take(stall)
-                run = state.record.runs[index]
-                start = max(self.events.now, run.configured_at or 0.0)
-                self.events.at(
-                    start,
-                    lambda s=state, i=index: self._begin_execution(s, i),
-                )
+class _Function:
+    """Function ``index`` of an application's chain as the kernel's
+    admission item."""
 
+    __slots__ = ("scheduler", "record", "index", "spec", "height",
+                 "width", "run", "owner", "parked", "next")
 
-@dataclass
-class _Stall:
-    """One stalled (application, function-index) admission request."""
+    def __init__(self, scheduler: ApplicationFlowScheduler,
+                 record: ApplicationRun, index: int) -> None:
+        self.scheduler = scheduler
+        self.record = record
+        self.index = index
+        self.spec = record.spec.functions[index]
+        self.height = self.spec.height
+        self.width = self.spec.width
+        self.run = FunctionRun(record.spec.name, self.spec)
+        #: owner id once placed.
+        self.owner: int | None = None
+        #: whether it waited in the kernel's queue.
+        self.parked = False
+        #: the successor, once created to be configured ahead.
+        self.next: _Function | None = None
 
-    state: "_AppState"
-    index: int
+    @property
+    def task_id(self) -> int:
+        """The owner id to probe with: the scheduler's next one."""
+        return self.scheduler.next_owner
 
 
-@dataclass
-class _AppState:
-    """Book-keeping for one running application."""
+class _EveryWaiting:
+    """A queue discipline whose admission pass tries every waiting
+    function in the discipline's full order (``ordered``), so one that
+    cannot be placed never blocks the rest: the discipline contributes
+    only the order."""
 
-    record: ApplicationRun
-    owners: dict[int, int] = field(default_factory=dict)
+    def __init__(self, queue: str | QueueDiscipline) -> None:
+        self.discipline = make_queue(queue)
 
-    def ensure_run(self, index: int) -> FunctionRun:
-        while len(self.record.runs) <= index:
-            next_index = len(self.record.runs)
-            self.record.runs.append(
-                FunctionRun(
-                    self.record.spec.name,
-                    self.record.spec.functions[next_index],
-                )
-            )
-        return self.record.runs[index]
+    def __getattr__(self, name: str):
+        return getattr(self.discipline, name)
+
+    def __len__(self) -> int:
+        return len(self.discipline)
+
+    def scan(self, now: float):
+        return iter(self.discipline.ordered(now))

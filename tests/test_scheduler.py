@@ -11,7 +11,12 @@ from repro.sched.scheduler import (
     OnlineTaskScheduler,
 )
 from repro.sched.tasks import ApplicationSpec, FunctionSpec, Task, TaskState
-from repro.sched.workload import fig1_applications, random_tasks
+from repro.sched.workload import (
+    fig1_applications,
+    make_workload,
+    random_tasks,
+)
+from repro.stack import build_fleet
 
 
 def make_manager(policy=RearrangePolicy.CONCURRENT, port="selectmap"):
@@ -146,6 +151,47 @@ class TestApplicationFlowScheduler:
         stall_solo = solo[0].stall_seconds
         stall_full = next(r for r in full if r.spec.name == "A").stall_seconds
         assert stall_full >= stall_solo
+
+
+def rect_checks(workload: str, seed: int, defrag: str) -> list[bool]:
+    """Run one application workload on XC2S15 under concurrent
+    relocation and compare, each time a function starts and each time
+    it finishes, its recorded ``rect`` with its owner's footprint on the
+    fabric.  Returns one verdict per comparison."""
+    fleet = build_fleet("XC2S15", rearrange="concurrent", fit="first",
+                        defrag=defrag, device_policy="first-fit")
+    scheduler = ApplicationFlowScheduler(fleet)
+    kernel = scheduler.kernel
+    fabric = fleet.members[0].fabric
+    checks: list[bool] = []
+    start_running = kernel.start_running
+    finish_running = kernel.finish_running
+
+    def checked_start(owner, finish_time, on_finish, item):
+        checks.append(item.rect == fabric.footprint(owner))
+        start_running(owner, finish_time, on_finish, item)
+
+    def checked_finish(owner):
+        checks.append(kernel.running[owner].item.rect
+                      == fabric.footprint(owner))
+        finish_running(owner)
+
+    kernel.start_running = checked_start
+    kernel.finish_running = checked_finish
+    scheduler.run(make_workload(workload, fabric.device, seed))
+    return checks
+
+
+@pytest.mark.parametrize("defrag", ["on-failure", "idle"])
+def test_function_rect_follows_rearrangements(defrag):
+    """A function configured ahead of its start is moved like any other
+    resident: its recorded ``rect`` is where it really sits when it
+    starts and when it finishes, on Fig. 1 and codec-swap chains."""
+    checks = [check for workload in ("fig1", "codec-swap")
+              for seed in range(4)
+              for check in rect_checks(workload, seed, defrag)]
+    assert len(checks) > 100
+    assert checks.count(False) == 0
 
 
 class TestQueueTimeouts:
