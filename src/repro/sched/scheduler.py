@@ -292,10 +292,6 @@ class ApplicationFlowScheduler:
             )
         self.kernel.run()
         self.metrics.rejected += len(self.kernel.queue)
-        # Chain runs record no telemetry samples yet.
-        self.metrics.fragmentation_total = 0.0
-        self.metrics.utilization_total = 0.0
-        self.metrics.sample_count = 0
         return records
 
     # -- internals ----------------------------------------------------------
@@ -354,6 +350,7 @@ class ApplicationFlowScheduler:
         if fn.parked:
             self.events.at(max(self.events.now, config_done),
                            lambda: self._begin(fn))
+        self.kernel.sample()
 
     def _begin(self, fn: "_Function") -> None:
         """Start executing ``fn`` and configure its successor ahead."""
@@ -388,6 +385,7 @@ class ApplicationFlowScheduler:
         fn.run.finished_at = now
         self.kernel.finish_running(fn.owner)
         self.manager.release(fn.owner)
+        self.kernel.sample()
         # Waiting functions get the released space first: one admission
         # pass, without the prefetch planner.
         self.kernel.admit_waiting()

@@ -299,6 +299,10 @@ def test_golden_apps_snapshot():
     assert sum(row["proactive_defrags"] for row in rows) > 0
     assert sum(row["prefetch_hits"] for row in rows
                if row["prefetch"] != "never") > 0
+    # ... every run samples the fabric on admissions and releases ...
+    for row in rows:
+        assert row["mean_fragmentation"] > 0
+        assert row["mean_utilization"] > 0
     # ... and the queue discipline orders waiting functions: some cell
     # comes out differently under fifo than under sjf.
     by_queue: dict[str, dict[tuple, tuple]] = {"fifo": {}, "sjf": {}}
