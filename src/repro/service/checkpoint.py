@@ -38,9 +38,10 @@ Two deliberate non-goals, documented so nobody chases "missing" state:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
+from repro.device.fabric import FabricError
 from repro.device.geometry import Rect
 from repro.sched.kernel import ScheduleMetrics
 from repro.sched.tasks import Task, TaskState
@@ -50,6 +51,16 @@ from .app import ReproService, ServiceConfig
 
 #: Snapshot document version (bumped on incompatible layout changes).
 SNAPSHOT_VERSION = 2
+
+#: The document's container entries and the JSON type each must have.
+_CONTAINERS = {
+    "config": dict, "tasks": list, "queued": list, "running": list,
+    "ports": list, "defrag_last_attempt": list, "metrics": dict,
+    "door": dict, "journal": list, "telemetry": list,
+}
+
+#: The names a document's ``metrics`` entry may carry.
+_METRICS = frozenset(f.name for f in fields(ScheduleMetrics))
 
 
 def _task_row(task: Task) -> dict:
@@ -147,6 +158,38 @@ def _load_task(row: dict) -> Task:
     return task
 
 
+def _check(state: dict) -> None:
+    """Refuse a malformed document with :class:`ValueError` before
+    anything is built: its version, the type of each container entry,
+    the metric names, and that every queued and running entry names a
+    registered task."""
+    if not isinstance(state, dict):
+        raise ValueError("a snapshot is a JSON object")
+    if state.get("version") != SNAPSHOT_VERSION:
+        raise ValueError(
+            f"unsupported snapshot version {state.get('version')!r}"
+        )
+    for key, kind in _CONTAINERS.items():
+        if not isinstance(state.get(key), kind):
+            raise ValueError(f"snapshot entry {key!r} must be a JSON "
+                             f"{'object' if kind is dict else 'array'}")
+    unknown = state["metrics"].keys() - _METRICS
+    if unknown:
+        raise ValueError(f"unknown metrics {sorted(unknown)}")
+    ids = set()
+    for row in state["tasks"]:
+        if not isinstance(row, dict) or type(row.get("task")) is not int:
+            raise ValueError(f"task row {row!r} has no integer 'task' id")
+        ids.add(row["task"])
+    for key in ("queued", "running"):
+        for row in state[key]:
+            if not isinstance(row, dict) or type(row.get("task")) is not int \
+                    or row["task"] not in ids:
+                raise ValueError(
+                    f"{key} entry {row!r} names no registered task"
+                )
+
+
 def restore(state: dict) -> ReproService:
     """Rebuild a service from a :func:`snapshot` document.
 
@@ -155,13 +198,10 @@ def restore(state: dict) -> ReproService:
     original instants, queued work keeps its discipline order and its
     original patience deadlines, and the journal/telemetry streams
     continue with the next sequence numbers — the round-trip identity
-    the tests pin.  A document of another version raises
-    :class:`ValueError`.
+    the tests pin.  A malformed document (see :func:`_check`), or one
+    whose regions do not fit the fabric, raises :class:`ValueError`.
     """
-    if state.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"unsupported snapshot version {state.get('version')!r}"
-        )
+    _check(state)
     service = ReproService(ServiceConfig.from_dict(state["config"]))
     engine = service.engine
     kernel = engine.kernel
@@ -184,7 +224,10 @@ def restore(state: dict) -> ReproService:
     for row in sorted(state["running"],
                       key=lambda r: (r["finish_at"], r["task"])):
         task = engine.tasks[row["task"]]
-        kernel.manager.adopt(task.task_id, task.device, task.rect)
+        try:
+            kernel.manager.adopt(task.task_id, task.device, task.rect)
+        except FabricError as exc:
+            raise ValueError(f"task {task.task_id}: {exc}") from None
         kernel.start_running(
             task.task_id, float(row["finish_at"]),
             lambda t=task: engine._on_finish(t), task,
@@ -219,7 +262,10 @@ def restore(state: dict) -> ReproService:
         member.defrag_policy._last_attempt = last
     kernel.metrics = ScheduleMetrics(**state["metrics"])
     kernel.restore_prefetch_state(state["prefetch"])
-    kernel.faults.restore_state(state["faults"])
+    try:
+        kernel.faults.restore_state(state["faults"])
+    except FabricError as exc:
+        raise ValueError(f"fault blockers: {exc}") from None
     service.door = AdmissionController.from_state(state["door"])
 
     kernel.resume()

@@ -20,7 +20,8 @@ repo deliberately carries no pytest-asyncio dependency).  Pinned:
   accounting (the admitted + throttled totals stay conservative);
 * the NDJSON telemetry stream delivers backlog then live samples;
 * a checkpoint taken over HTTP restores over HTTP into a service that
-  continues the same run (journal identity after the swap).
+  continues the same run (journal identity after the swap); a malformed
+  snapshot is a 400 that keeps the running service.
 """
 
 import asyncio
@@ -32,6 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.service import ReproService, ServiceAPI, ServiceConfig
 from repro.service import api as api_module
+from repro.service import checkpoint
+from repro.service.__main__ import main as service_main
 
 
 class Client:
@@ -619,6 +622,60 @@ def test_malformed_restore_config_is_a_400_that_keeps_the_service(config):
         assert status == 200 and payload["tasks"] == 1
         assert not unhandled
     with_api(scenario)
+
+
+def running_row(snap: dict) -> dict:
+    """The task row of the snapshot's first running entry."""
+    owner = snap["running"][0]["task"]
+    return next(row for row in snap["tasks"] if row["task"] == owner)
+
+
+#: Ways to break a snapshot document of a service with one running and
+#: two queued tasks, by name.
+MALFORMED_SNAPSHOTS = {
+    **{f"{key}-not-a-container": lambda snap, key=key: snap.update({key: 1})
+       for key in ("tasks", "queued", "running", "ports",
+                   "defrag_last_attempt", "journal", "telemetry",
+                   "metrics", "door")},
+    "unknown-metric": lambda snap: snap["metrics"].update(colour=1),
+    "rect-off-the-fabric":
+        lambda snap: running_row(snap).update(rect=[0, 40, 6, 8]),
+    "unknown-queued-task": lambda snap: snap["queued"][0].update(task=999),
+    "unknown-running-task": lambda snap: snap["running"][0].update(task=999),
+}
+
+
+@pytest.mark.parametrize("mutation", MALFORMED_SNAPSHOTS.values(),
+                         ids=MALFORMED_SNAPSHOTS.keys())
+def test_malformed_snapshot_is_a_400_that_keeps_the_service(
+        mutation, tmp_path, capsys):
+    """A snapshot with a container entry of the wrong type, an unknown
+    metric, a region off the fabric or a queued or running entry naming
+    no task is refused: ``restore`` raises ValueError, ``POST /restore``
+    answers 400 and the running service keeps serving, and
+    ``--restore`` prints one ``error:`` line and exits 2."""
+    path = tmp_path / "snapshot.json"
+
+    async def scenario(api, client):
+        for _ in range(3):
+            await client.request("POST", "/tasks",
+                                 {**SUBMIT, "height": 6, "width": 8})
+        _, snap, _ = await client.request("POST", "/checkpoint", {})
+        assert len(snap["running"]) == 1 and len(snap["queued"]) == 2
+        mutation(snap)
+        path.write_text(json.dumps(snap))
+        original = api.service
+        status, payload, _ = await client.request("POST", "/restore", snap)
+        assert status == 400 and payload["error"]
+        assert api.service is original
+        status, payload, _ = await client.request("GET", "/healthz")
+        assert status == 200 and payload["tasks"] == 3
+        with pytest.raises(ValueError):
+            checkpoint.restore(snap)
+    with_api(scenario)
+    assert service_main(["--restore", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_shutdown_endpoint_resolves_the_shutdown_event():
