@@ -397,6 +397,8 @@ class ApplicationFlowScheduler:
             metrics = self.metrics
             metrics.finished += 1
             metrics.turnaround_total += now
+            # Stall is the time lost to contention: elapsed time minus
+            # pure execution minus the configuration left un-hidden.
             metrics.stall_seconds += max(
                 0.0,
                 now - record.spec.total_exec_seconds

@@ -61,13 +61,15 @@ _ORACLE = ("tests/test_work_budget.py::"
            "test_every_cache_off_is_observationally_identical")
 _FLEET_CELLS = ("xc2s15-fleet2-priority-serial",
                 "xc2s30-fleet4-least-loaded")
+_APPS_GOLDEN = "tests/test_golden_campaign.py::test_golden_apps_snapshot"
 
 MUTANTS = (
     Mutant(
         name="fleet-stamp-member-0",
         path="src/repro/sched/kernel.py",
-        original="stamp = tuple(m.free_space.generation for m in members)",
-        mutated="stamp = (members[0].free_space.generation,)",
+        original=("stamp = tuple(m.free_space.generation "
+                  "for m in self.manager.members)"),
+        mutated="stamp = (self.manager.members[0].free_space.generation,)",
         tests=tuple(f"{test}[{cell}]" for test in (_BUDGET, _ORACLE)
                     for cell in _FLEET_CELLS),
     ),
@@ -76,17 +78,11 @@ MUTANTS = (
         path="src/repro/sched/kernel.py",
         original="""\
         while len(self.queue):
-            stamp = tuple(m.free_space.generation for m in members)
-            if stamp != self._failed_stamp:
-                self._failed_shapes.clear()
-                self._failed_stamp = stamp
+            self._sync_record()
             self._prefetch()
 """,
         mutated="""\
-        stamp = tuple(m.free_space.generation for m in members)
-        if stamp != self._failed_stamp:
-            self._failed_shapes.clear()
-            self._failed_stamp = stamp
+        self._sync_record()
         while len(self.queue):
             self._prefetch()
 """,
@@ -95,14 +91,36 @@ MUTANTS = (
     Mutant(
         name="failure-record-off",
         path="src/repro/sched/kernel.py",
-        original="""\
-                self._failed_shapes[item.height, item.width] = \\
-                    outcome.dominant
-""",
-        mutated="""\
-                pass
-""",
+        original=("        self._failed_shapes[item.height, item.width] "
+                  "= outcome.dominant\n"),
+        mutated="",
         tests=(_BUDGET,),
+    ),
+    # Application chains on the kernel's admission path: each pass tries
+    # every waiting function, a release gets a pass without the prefetch
+    # planner, and a function configured ahead is held where moves
+    # follow it.
+    Mutant(
+        name="chain-pass-blocks-on-scan",
+        path="src/repro/sched/scheduler.py",
+        original="        return iter(self.discipline.ordered(now))\n",
+        mutated="        return self.discipline.scan(now)\n",
+        tests=(_APPS_GOLDEN,),
+    ),
+    Mutant(
+        name="chain-release-drains",
+        path="src/repro/sched/scheduler.py",
+        original="        self.kernel.admit_waiting()\n",
+        mutated="        self.kernel.drain()\n",
+        tests=(_APPS_GOLDEN,),
+    ),
+    Mutant(
+        name="held-function-not-recorded",
+        path="src/repro/sched/kernel.py",
+        original="        self.running[owner] = Running(item, None, None)\n",
+        mutated="        pass\n",
+        tests=("tests/test_scheduler.py::"
+               "test_function_rect_follows_rearrangements",),
     ),
     Mutant(
         name="fit-prefetch-no-store",
@@ -327,6 +345,19 @@ MUTANTS = (
         mutated=('            if not AXIS[name].sparse '
                  'or name == "faults"\n'),
         tests=("tests/test_campaign_exports.py",),
+    ),
+    Mutant(
+        name="restore-skips-the-task-cross-check",
+        path="src/repro/service/checkpoint.py",
+        original="""\
+            if not isinstance(row, dict) or type(row.get("task")) is not int \\
+                    or row["task"] not in ids:
+""",
+        mutated="""\
+            if not isinstance(row, dict) or type(row.get("task")) is not int:
+""",
+        tests=("tests/test_service_api.py::"
+               "test_malformed_snapshot_is_a_400_that_keeps_the_service",),
     ),
     Mutant(
         name="sample-without-on-sample",
