@@ -488,6 +488,8 @@ class SchedulingKernel:
             self._sync_record()
             self._prefetch()
             for item in self.queue.scan(self.events.now):
+                if self._shape_blocked(item.height, item.width):
+                    continue  # same occupancy, same answer: skip replan
                 outcome = self._probe(item)
                 if outcome is not None:
                     self.queue.take(item)
@@ -502,7 +504,8 @@ class SchedulingKernel:
         whether it was placed (``on_admitted`` has then run).  A failure
         enters the failure record like a failed candidate of a pass."""
         self._sync_record()
-        outcome = self._probe(item)
+        outcome = (None if self._shape_blocked(item.height, item.width)
+                   else self._probe(item))
         if outcome is None:
             return False
         if self.on_admitted is not None:
@@ -510,10 +513,9 @@ class SchedulingKernel:
         return True
 
     def _probe(self, item: Admissible) -> PlacementOutcome | None:
-        """The failure record, then ``manager.request``: the successful
-        outcome, or ``None`` after recording the failed shape."""
-        if self._shape_blocked(item.height, item.width):
-            return None  # same occupancy, same answer: skip replan
+        """``manager.request`` for an item the failure record does not
+        settle: the successful outcome, or ``None`` after recording the
+        failed shape."""
         PERF.admission_probes += 1
         outcome = self.manager.request(item.height, item.width, item.task_id)
         if outcome.success:

@@ -4,8 +4,7 @@ The scheduling kernel (:mod:`repro.sched.kernel`) keeps *one* waiting
 queue of unplaced work items and asks a :class:`QueueDiscipline` two
 questions: in what order should placement be attempted on this pass
 (:meth:`QueueDiscipline.scan`), and what is the full live ordering
-(:meth:`QueueDiscipline.ordered`, used by the application scheduler's
-stall retry).  Four disciplines ship:
+(:meth:`QueueDiscipline.ordered`).  Four disciplines ship:
 
 * ``fifo`` — strict arrival order; the head blocks the queue until it
   places (bit-identical to the historical hand-rolled scheduler loop);
@@ -28,9 +27,9 @@ entries, so the amortised cost per cancellation stays O(1) (O(log n)
 for the heaps).  A timeout under a heavy-tail workload therefore never
 pays the O(n) ``deque.remove`` the old scheduler did.
 
-Note on the application scheduler: its stall retry *always* attempts
-every stalled application (a placement failure never blocks the rest —
-the historical behaviour), so disciplines contribute only the retry
+Note on the application scheduler: its admission pass tries every
+waiting function in the discipline's ``ordered`` order (a placement
+failure never blocks the rest), so disciplines contribute only the
 *order* there; ``backfill``'s blocked-head semantics coincide with
 ``fifo`` for application workloads.
 """
