@@ -158,6 +158,13 @@ def _load_task(row: dict) -> Task:
     return task
 
 
+def _task_id(row) -> int | None:
+    """The integer ``task`` id a document row names, if any."""
+    if isinstance(row, dict) and type(row.get("task")) is int:
+        return row["task"]
+    return None
+
+
 def _check(state: dict) -> None:
     """Refuse a malformed document with :class:`ValueError` before
     anything is built: its version, the type of each container entry,
@@ -176,15 +183,12 @@ def _check(state: dict) -> None:
     unknown = state["metrics"].keys() - _METRICS
     if unknown:
         raise ValueError(f"unknown metrics {sorted(unknown)}")
-    ids = set()
-    for row in state["tasks"]:
-        if not isinstance(row, dict) or type(row.get("task")) is not int:
-            raise ValueError(f"task row {row!r} has no integer 'task' id")
-        ids.add(row["task"])
+    ids = {_task_id(row) for row in state["tasks"]}
+    if None in ids:
+        raise ValueError("every task row needs an integer 'task' id")
     for key in ("queued", "running"):
         for row in state[key]:
-            if not isinstance(row, dict) or type(row.get("task")) is not int \
-                    or row["task"] not in ids:
+            if _task_id(row) not in ids:
                 raise ValueError(
                     f"{key} entry {row!r} names no registered task"
                 )

@@ -349,13 +349,8 @@ MUTANTS = (
     Mutant(
         name="restore-skips-the-task-cross-check",
         path="src/repro/service/checkpoint.py",
-        original="""\
-            if not isinstance(row, dict) or type(row.get("task")) is not int \\
-                    or row["task"] not in ids:
-""",
-        mutated="""\
-            if not isinstance(row, dict) or type(row.get("task")) is not int:
-""",
+        original="            if _task_id(row) not in ids:\n",
+        mutated="            if _task_id(row) is None:\n",
         tests=("tests/test_service_api.py::"
                "test_malformed_snapshot_is_a_400_that_keeps_the_service",),
     ),
