@@ -153,32 +153,36 @@ class TestApplicationFlowScheduler:
         assert stall_full >= stall_solo
 
 
-def rect_checks(workload: str, seed: int, defrag: str) -> list[bool]:
-    """Run one application workload on XC2S15 under concurrent
+def rect_checks(workload: str, seed: int, defrag: str,
+                fleet_size: int) -> list[bool]:
+    """Run one application workload on XC2S15 fabrics under concurrent
     relocation and compare, each time a function starts and each time
-    it finishes, its recorded ``rect`` with its owner's footprint on the
-    fabric.  Returns one verdict per comparison."""
-    fleet = build_fleet("XC2S15", rearrange="concurrent", fit="first",
-                        defrag=defrag, device_policy="first-fit")
+    it finishes, its recorded ``rect`` with its owner's footprint in the
+    fleet.  Returns one verdict per comparison."""
+    fleet = build_fleet("XC2S15", fleet_size, rearrange="concurrent",
+                        fit="first", defrag=defrag,
+                        device_policy="first-fit")
     scheduler = ApplicationFlowScheduler(fleet)
     kernel = scheduler.kernel
-    fabric = fleet.members[0].fabric
     checks: list[bool] = []
     start_running = kernel.start_running
     finish_running = kernel.finish_running
 
+    def footprint(owner):
+        rects = [member.fabric.footprint(owner) for member in fleet.members]
+        return next(rect for rect in rects if rect is not None)
+
     def checked_start(owner, finish_time, on_finish, item):
-        checks.append(item.rect == fabric.footprint(owner))
+        checks.append(item.rect == footprint(owner))
         start_running(owner, finish_time, on_finish, item)
 
     def checked_finish(owner):
-        checks.append(kernel.running[owner].item.rect
-                      == fabric.footprint(owner))
+        checks.append(kernel.running[owner].item.rect == footprint(owner))
         finish_running(owner)
 
     kernel.start_running = checked_start
     kernel.finish_running = checked_finish
-    scheduler.run(make_workload(workload, fabric.device, seed))
+    scheduler.run(make_workload(workload, fleet.fabric.device, seed))
     return checks
 
 
@@ -186,11 +190,12 @@ def rect_checks(workload: str, seed: int, defrag: str) -> list[bool]:
 def test_function_rect_follows_rearrangements(defrag):
     """A function configured ahead of its start is moved like any other
     resident: its recorded ``rect`` is where it really sits when it
-    starts and when it finishes, on Fig. 1 and codec-swap chains."""
+    starts and when it finishes, on Fig. 1 and codec-swap chains over
+    one and two fabrics."""
     checks = [check for workload in ("fig1", "codec-swap")
-              for seed in range(4)
-              for check in rect_checks(workload, seed, defrag)]
-    assert len(checks) > 100
+              for seed in range(4) for fleet_size in (1, 2)
+              for check in rect_checks(workload, seed, defrag, fleet_size)]
+    assert len(checks) > 200
     assert checks.count(False) == 0
 
 
