@@ -1,7 +1,7 @@
 """Golden regression: fixed campaign grids, field by field.
 
 Scheduler and placement refactors must not silently change the science.
-Three snapshots are pinned:
+Six snapshots are pinned:
 
 * ``campaign_24.json`` — the canonical 24-run grid (the CLI's default
   axes: 2 devices x 3 policies x 2 workloads x 2 seeds, sized down to
@@ -17,6 +17,8 @@ Three snapshots are pinned:
   policy grid over the surge workload, pinning the multi-fabric layer
   (and, together with ``tests/test_fleet.py``'s force-fleet run of the
   24-run grid, the claim that a 1-member fleet changes nothing);
+* ``campaign_faults.json`` — an 8-run grid of every fault plan on a
+  2-member fleet;
 * ``campaign_apps.json`` — a 96-run grid of application chains (Fig. 1
   and codec-swap) x policy x prefetch mode x fleet size x queue, the
   only snapshot of the application scheduler.
