@@ -56,7 +56,8 @@ class DefragPolicy:
         if cooldown < 0:
             raise ValueError("cooldown cannot be negative")
         self.cooldown = cooldown
-        self._last_attempt: float | None = None
+        #: the last consolidation attempt's instant (None before any).
+        self.last_attempt: float | None = None
 
     def should_trigger(self, *, fragmentation: float, free_area: int,
                        now: float, port_idle: bool) -> bool:
@@ -65,8 +66,8 @@ class DefragPolicy:
             return False
         if free_area <= 0:
             return False
-        if (self._last_attempt is not None
-                and now - self._last_attempt < self.cooldown):
+        if (self.last_attempt is not None
+                and now - self.last_attempt < self.cooldown):
             return False
         return self._trigger(fragmentation=fragmentation,
                              port_idle=port_idle)
@@ -78,7 +79,7 @@ class DefragPolicy:
     def note_attempt(self, now: float) -> None:
         """Start the cooldown window: a consolidation was attempted at
         ``now`` (whether or not the planner found profitable moves)."""
-        self._last_attempt = now
+        self.last_attempt = now
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

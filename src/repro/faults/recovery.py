@@ -40,8 +40,10 @@ class FaultRecovery:
         #: carries (``id``, ``device``, injected ``rect``, the
         #: ``[owner, rect]`` blockers actually allocated, ``heal_at``).
         self.regions: dict[int, dict] = {}
-        self._fault_seq = 0
-        self._owner_seq = 0
+        #: the last stuck-at fault id and blocker owner handed out (a
+        #: blocker owns ``FAULT_OWNER_BASE + owner_seq``).
+        self.fault_seq = 0
+        self.owner_seq = 0
 
     def apply(self, event: FaultEvent) -> dict:
         """Carry ``event`` out at the kernel's current instant.
@@ -128,8 +130,8 @@ class FaultRecovery:
             owner for owner in map(int, np.unique(sites))
             if owner in kernel.running
         ))
-        self._fault_seq += 1
-        fault_id = self._fault_seq
+        self.fault_seq += 1
+        fault_id = self.fault_seq
         self.regions[fault_id] = {
             "id": fault_id,
             "device": device,
@@ -250,8 +252,8 @@ class FaultRecovery:
                     col += width
         blockers = []
         for run in runs:
-            self._owner_seq += 1
-            owner = FAULT_OWNER_BASE + self._owner_seq
+            self.owner_seq += 1
+            owner = FAULT_OWNER_BASE + self.owner_seq
             fleet.adopt(owner, device, run)
             blockers.append([owner, [run.row, run.col, run.height,
                                      run.width]])
@@ -275,44 +277,12 @@ class FaultRecovery:
         self.kernel.sample()
         self.kernel.drain()
 
-    # -- checkpoint state -----------------------------------------------------
-
-    def export_state(self) -> dict | None:
-        """Serializable fault state for service checkpoints: lost
-        members, active stuck-at regions (with their blocker owners and
-        heal instants) and the blocker-owner and fault sequences.
-        ``None`` when no fault was ever injected, so fault-free
-        snapshots keep their historical shape."""
-        lost = self.kernel.manager.lost
-        if not (lost or self.regions or self._owner_seq
-                or self._fault_seq):
-            return None
-        return {
-            "lost_members": sorted(lost),
-            "owner_seq": self._owner_seq,
-            "fault_seq": self._fault_seq,
-            "regions": [self.regions[i] for i in sorted(self.regions)],
-        }
-
-    def restore_state(self, state: dict | None) -> None:
-        """Re-apply :meth:`export_state` output on a freshly built
-        kernel (checkpoint restore): lost members are re-marked, blocker
-        regions re-allocated and pending heal events re-scheduled.
-        No-op for ``None``."""
-        if state is None:
-            return
-        fleet = self.kernel.manager
-        for index in state["lost_members"]:
-            fleet.mark_lost(int(index))
-        self._owner_seq = int(state["owner_seq"])
-        self._fault_seq = int(state["fault_seq"])
-        for row in state["regions"]:
-            record = dict(
-                row, id=int(row["id"]), device=int(row["device"]),
-                owners=[[int(owner), [int(v) for v in rect]]
-                        for owner, rect in row["owners"]],
-            )
-            for owner, rect in record["owners"]:
-                fleet.adopt(owner, record["device"], Rect(*rect))
-            self.regions[record["id"]] = record
-            self._schedule_heal(record["id"])
+    def adopt_region(self, record: dict) -> None:
+        """Re-register a checkpointed stuck-at region (restore): its
+        blockers are re-allocated where the record says and its heal,
+        if any, is re-armed.  Blockers that do not fit the fabric raise
+        :class:`~repro.device.fabric.FabricError`."""
+        for owner, rect in record["owners"]:
+            self.kernel.manager.adopt(owner, record["device"], Rect(*rect))
+        self.regions[record["id"]] = record
+        self._schedule_heal(record["id"])

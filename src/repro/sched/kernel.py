@@ -262,7 +262,7 @@ class SchedulingKernel:
         )
         #: outstanding application-successor offers, by bitstream key
         #: (``plan`` mode's explicit look-ahead; bounded FIFO).
-        self._wishlist: dict[str, PrefetchRequest] = {}
+        self.wishlist: dict[str, PrefetchRequest] = {}
         #: config seconds actually charged by the most recent
         #: :meth:`charge_placement` (0.0 on a cache hit; equal to the
         #: outcome's ``config_seconds`` otherwise) — the strategy
@@ -553,7 +553,7 @@ class SchedulingKernel:
                  if self.caches is not None and key is not None else None)
         entry = None
         if cache is not None:
-            self._wishlist.pop(key, None)
+            self.wishlist.pop(key, None)
             entry = cache.hit(key, self.events.now)
             if entry is not None:
                 self.metrics.prefetch_hits += 1
@@ -600,17 +600,17 @@ class SchedulingKernel:
         self.caches[target].note_next_use(key, next_use)
         if self.prefetch_mode != "plan":
             return
-        if key in self._wishlist:
-            request = self._wishlist[key]
+        if key in self.wishlist:
+            request = self.wishlist[key]
             if next_use is not None and (
                 request.next_use is None or next_use < request.next_use
             ):
                 request.next_use = next_use
             return
-        if len(self._wishlist) >= WISHLIST_BOUND:
-            oldest = next(iter(self._wishlist))
-            del self._wishlist[oldest]
-        self._wishlist[key] = PrefetchRequest(
+        if len(self.wishlist) >= WISHLIST_BOUND:
+            oldest = next(iter(self.wishlist))
+            del self.wishlist[oldest]
+        self.wishlist[key] = PrefetchRequest(
             key, height, width, next_use=next_use, device=device
         )
 
@@ -648,7 +648,7 @@ class SchedulingKernel:
             return
         assert self.caches is not None
         now = self.events.now
-        candidates: list[PrefetchRequest] = list(self._wishlist.values())
+        candidates: list[PrefetchRequest] = list(self.wishlist.values())
         if len(candidates) < PLAN_CANDIDATE_BOUND:
             for item in self.queue.ordered(now):
                 queue_key = getattr(item, "prefetch_key", None)
@@ -685,44 +685,6 @@ class SchedulingKernel:
                 self.metrics.cache_evictions += 1
             self.metrics.prefetch_loads += 1
 
-    def export_prefetch_state(self) -> dict | None:
-        """Serializable prefetch state: per-member caches + wishlist
-        (``None`` in ``never`` mode).  The service checkpoint carries
-        it so a restored kernel neither re-loads resident bitstreams
-        nor forgets pending successor offers — the stall/prefetch
-        counters of a restored run must match the uninterrupted one
-        bit for bit."""
-        if self.caches is None:
-            return None
-        return {
-            "mode": self.prefetch_mode,
-            "caches": [cache.export_state() for cache in self.caches],
-            "wishlist": [
-                {"key": r.key, "height": r.height, "width": r.width,
-                 "next_use": r.next_use, "device": r.device}
-                for r in self._wishlist.values()
-            ],
-        }
-
-    def restore_prefetch_state(self, state: dict | None) -> None:
-        """Load a previously exported prefetch state (no-op for
-        ``None``/``never``-mode kernels)."""
-        if state is None or self.caches is None:
-            return
-        for cache, cache_state in zip(self.caches, state["caches"]):
-            cache.restore_state(cache_state)
-        self._wishlist = {
-            row["key"]: PrefetchRequest(
-                key=row["key"], height=int(row["height"]),
-                width=int(row["width"]),
-                next_use=(float(row["next_use"])
-                          if row["next_use"] is not None else None),
-                device=(int(row["device"])
-                        if row["device"] is not None else None),
-            )
-            for row in state["wishlist"]
-        }
-
     def forget_member(self, index: int) -> None:
         """Drop a dead member's configuration memory (fault path).
 
@@ -735,8 +697,8 @@ class SchedulingKernel:
         """
         if self.caches is not None:
             self.caches[index] = BitstreamCache()
-        self._wishlist = {
-            key: request for key, request in self._wishlist.items()
+        self.wishlist = {
+            key: request for key, request in self.wishlist.items()
             if request.device != index
         }
 

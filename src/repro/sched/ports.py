@@ -36,6 +36,10 @@ from .events import EventQueue, SequentialResource
 #: any N >= 2; these are the spellings shown in help text).
 PORT_MODEL_NAMES = ("serial", "multi-2", "icap")
 
+#: The most ports a ``multi-N`` model may have: every lane is allocated
+#: up front, so a config asking for more is refused before any is.
+MAX_PORTS = 64
+
 
 class PortModel(Protocol):
     """Service model for reconfiguration-port time."""
@@ -50,38 +54,16 @@ class PortModel(Protocol):
         ...
 
 
-class SerialPortModel:
-    """One sequential configuration channel (the paper's model)."""
+class SerialPortModel(SequentialResource):
+    """One sequential configuration channel (the paper's model): a
+    :class:`~repro.sched.events.SequentialResource`."""
 
     name = "serial"
-
-    def __init__(self, events: EventQueue) -> None:
-        self._port = SequentialResource(events)
-
-    @property
-    def free_at(self) -> float:
-        """Instant the channel next becomes idle."""
-        return self._port.free_at
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total channel time consumed so far."""
-        return self._port.busy_seconds
 
     def acquire(self, config_seconds: float = 0.0,
                 move_seconds: float = 0.0) -> tuple[float, float]:
         """Queue the whole job on the single channel."""
-        return self._port.acquire(config_seconds + move_seconds)
-
-    def export_state(self) -> dict:
-        """Serializable channel state (checkpoint/restore)."""
-        return {"free_at": self._port.free_at,
-                "busy_seconds": self._port.busy_seconds}
-
-    def restore_state(self, state: dict) -> None:
-        """Load a previously exported channel state."""
-        self._port.free_at = float(state["free_at"])
-        self._port.busy_seconds = float(state["busy_seconds"])
+        return super().acquire(config_seconds + move_seconds)
 
 
 class MultiPortModel:
@@ -101,13 +83,14 @@ class MultiPortModel:
             raise ValueError("n_ports must be positive")
         self._events = events
         self.n_ports = n_ports
-        self._lane_free = [0.0] * n_ports
+        #: the instant each port next becomes idle.
+        self.lane_free = [0.0] * n_ports
         self.busy_seconds = 0.0
 
     @property
     def free_at(self) -> float:
         """Earliest instant any of the ports is idle."""
-        return min(self._lane_free)
+        return min(self.lane_free)
 
     def acquire(self, config_seconds: float = 0.0,
                 move_seconds: float = 0.0) -> tuple[float, float]:
@@ -115,27 +98,12 @@ class MultiPortModel:
         duration = config_seconds + move_seconds
         if duration < 0:
             raise ValueError("duration cannot be negative")
-        lane = min(range(self.n_ports), key=lambda i: self._lane_free[i])
-        start = max(self._events.now, self._lane_free[lane])
+        lane = min(range(self.n_ports), key=lambda i: self.lane_free[i])
+        start = max(self._events.now, self.lane_free[lane])
         end = start + duration
-        self._lane_free[lane] = end
+        self.lane_free[lane] = end
         self.busy_seconds += duration
         return start, end
-
-    def export_state(self) -> dict:
-        """Serializable per-lane state (checkpoint/restore)."""
-        return {"lane_free": list(self._lane_free),
-                "busy_seconds": self.busy_seconds}
-
-    def restore_state(self, state: dict) -> None:
-        """Load a previously exported per-lane state."""
-        lanes = [float(v) for v in state["lane_free"]]
-        if len(lanes) != self.n_ports:
-            raise ValueError(
-                f"state has {len(lanes)} lanes, model has {self.n_ports}"
-            )
-        self._lane_free = lanes
-        self.busy_seconds = float(state["busy_seconds"])
 
 
 class IcapPortModel:
@@ -170,14 +138,15 @@ class IcapPortModel:
         self._events = events
         self.write_speedup = write_speedup
         self.readback_speedup = readback_speedup
-        self._write_free = 0.0
-        self._readback_free = 0.0
+        #: the instants the write and the readback lane next become idle.
+        self.write_free = 0.0
+        self.readback_free = 0.0
         self.busy_seconds = 0.0
 
     @property
     def free_at(self) -> float:
         """Instant both channels are idle (the port-idle signal)."""
-        return max(self._write_free, self._readback_free)
+        return max(self.write_free, self.readback_free)
 
     def acquire(self, config_seconds: float = 0.0,
                 move_seconds: float = 0.0) -> tuple[float, float]:
@@ -191,29 +160,17 @@ class IcapPortModel:
         readback = move_seconds / self.readback_speedup
         write = (config_seconds + move_seconds) / self.write_speedup
         if readback > 0.0:
-            rb_start = max(now, self._readback_free)
+            rb_start = max(now, self.readback_free)
             rb_end = rb_start + readback
-            self._readback_free = rb_end
+            self.readback_free = rb_end
         else:
             rb_start = rb_end = now
-        w_start = max(now, self._write_free, rb_end)
+        w_start = max(now, self.write_free, rb_end)
         w_end = w_start + write
-        self._write_free = w_end
+        self.write_free = w_end
         self.busy_seconds += readback + write
         start = rb_start if readback > 0.0 else w_start
         return start, w_end
-
-    def export_state(self) -> dict:
-        """Serializable per-lane state (checkpoint/restore)."""
-        return {"write_free": self._write_free,
-                "readback_free": self._readback_free,
-                "busy_seconds": self.busy_seconds}
-
-    def restore_state(self, state: dict) -> None:
-        """Load a previously exported per-lane state."""
-        self._write_free = float(state["write_free"])
-        self._readback_free = float(state["readback_free"])
-        self.busy_seconds = float(state["busy_seconds"])
 
 
 _MULTI_RE = re.compile(r"^multi[-:](\d+)$")
@@ -225,26 +182,23 @@ def normalize_port_model(name: str | int) -> str:
     Accepts ``"serial"``, ``"icap"``, ``"multi-N"`` / ``"multi:N"``,
     or a bare port count (``"1"`` -> ``"serial"``, ``"2"`` ->
     ``"multi-2"``) so the campaign CLI reads naturally as ``--ports 2``.
-    Raises :class:`ValueError` for anything else.
+    Raises :class:`ValueError` for anything else, a count of 0 or above
+    :data:`MAX_PORTS` included.
     """
     text = str(name).strip().lower()
     if text in ("serial", "icap"):
         return text
-    if text.isdigit():
-        count = int(text)
-        if count < 1:
-            raise ValueError("port count must be positive")
-        return "serial" if count == 1 else f"multi-{count}"
     match = _MULTI_RE.match(text)
-    if match:
-        count = int(match.group(1))
-        if count < 1:
-            raise ValueError("port count must be positive")
-        return "serial" if count == 1 else f"multi-{count}"
-    raise ValueError(
-        f"unknown port model {name!r}; choose from {PORT_MODEL_NAMES} "
-        "(multi-N for any N >= 2, or a bare port count)"
-    )
+    if not (text.isdigit() or match):
+        raise ValueError(
+            f"unknown port model {name!r}; choose from {PORT_MODEL_NAMES} "
+            "(multi-N for any N >= 2, or a bare port count)"
+        )
+    count = int(match.group(1) if match else text)
+    if not 1 <= count <= MAX_PORTS:
+        raise ValueError(f"port count must be between 1 and {MAX_PORTS}, "
+                         f"got {count}")
+    return "serial" if count == 1 else f"multi-{count}"
 
 
 def make_port_model(spec: str | PortModel, events: EventQueue) -> PortModel:

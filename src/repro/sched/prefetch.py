@@ -107,18 +107,6 @@ class CacheEntry:
     next_use: float | None = None
     seq: int = 0
 
-    def to_dict(self) -> dict:
-        """Serializable entry state (checkpoint/restore)."""
-        return {
-            "key": self.key,
-            "height": self.height,
-            "width": self.width,
-            "ready_at": self.ready_at,
-            "last_used": self.last_used,
-            "next_use": self.next_use,
-            "seq": self.seq,
-        }
-
 
 class BitstreamCache:
     """Bounded resident-bitstream set, LRU-with-known-next-use eviction.
@@ -133,22 +121,24 @@ class BitstreamCache:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: dict[str, CacheEntry] = {}
-        self._seq = 0
+        #: the resident entries by key, in insertion order.
+        self.entries: dict[str, CacheEntry] = {}
+        #: the insertion sequence the next entry takes.
+        self.seq = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
+        return key in self.entries
 
     def get(self, key: str) -> CacheEntry | None:
         """The resident entry for ``key`` (no side effects)."""
-        return self._entries.get(key)
+        return self.entries.get(key)
 
     def keys(self) -> tuple[str, ...]:
         """The resident keys, in insertion order (no side effects)."""
-        return tuple(self._entries)
+        return tuple(self.entries)
 
     def hit(self, key: str, now: float) -> CacheEntry | None:
         """Consume a resident entry for a demand at ``now``.
@@ -158,7 +148,7 @@ class BitstreamCache:
         ``None`` on a miss.  A consumed entry's ``next_use`` is cleared
         — the known demand just happened — and its recency refreshed.
         """
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is None:
             return None
         entry.last_used = now
@@ -168,7 +158,7 @@ class BitstreamCache:
     def note_next_use(self, key: str, next_use: float | None) -> bool:
         """Record a known future demand for a resident bitstream (the
         eviction order protects it); returns False on a miss."""
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is None:
             return False
         if next_use is not None and (
@@ -186,16 +176,16 @@ class BitstreamCache:
 
     def peek_victim(self) -> CacheEntry | None:
         """The entry an insertion at capacity would evict."""
-        if not self._entries:
+        if not self.entries:
             return None
-        return max(self._entries.values(), key=self._victim_rank)
+        return max(self.entries.values(), key=self._victim_rank)
 
     def admits(self, next_use: float | None) -> bool:
         """Whether a *planned* load with this known next use is worth
         inserting: there is free space, or the victim is needed later
         (or not at known time at all).  Demand loads bypass this check
         — their bitstream is resident by construction."""
-        if len(self._entries) < self.capacity:
+        if len(self.entries) < self.capacity:
             return True
         victim = self.peek_victim()
         assert victim is not None
@@ -212,7 +202,7 @@ class BitstreamCache:
         At capacity the victim with the farthest next use goes first —
         never an entry with a known earlier next-use than a kept one.
         """
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is not None:
             entry.ready_at = ready_at
             entry.last_used = now
@@ -220,40 +210,13 @@ class BitstreamCache:
                 entry.next_use = next_use
             return None
         evicted: CacheEntry | None = None
-        if len(self._entries) >= self.capacity:
+        if len(self.entries) >= self.capacity:
             evicted = self.peek_victim()
             assert evicted is not None
-            del self._entries[evicted.key]
-        self._entries[key] = CacheEntry(
+            del self.entries[evicted.key]
+        self.entries[key] = CacheEntry(
             key, height, width, ready_at=ready_at, last_used=now,
-            next_use=next_use, seq=self._seq,
+            next_use=next_use, seq=self.seq,
         )
-        self._seq += 1
+        self.seq += 1
         return evicted
-
-    def export_state(self) -> dict:
-        """Serializable cache state (checkpoint/restore)."""
-        return {
-            "capacity": self.capacity,
-            "seq": self._seq,
-            "entries": [
-                entry.to_dict() for entry in self._entries.values()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Load a previously exported cache state."""
-        self.capacity = int(state["capacity"])
-        self._seq = int(state["seq"])
-        self._entries = {}
-        for row in state["entries"]:
-            self._entries[row["key"]] = CacheEntry(
-                key=row["key"],
-                height=int(row["height"]),
-                width=int(row["width"]),
-                ready_at=float(row["ready_at"]),
-                last_used=float(row["last_used"]),
-                next_use=(float(row["next_use"])
-                          if row["next_use"] is not None else None),
-                seq=int(row["seq"]),
-            )

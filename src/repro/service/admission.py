@@ -69,11 +69,6 @@ class TokenBucket:
             return 0.0
         return (1.0 - tokens) / self.rate
 
-    def export_state(self) -> dict:
-        """Serializable bucket state (checkpoint/restore)."""
-        return {"rate": self.rate, "burst": self.burst,
-                "tokens": self.tokens, "updated_at": self.updated_at}
-
 
 @dataclass(frozen=True, slots=True)
 class AdmissionDecision:
@@ -98,12 +93,6 @@ class TenantStats:
     admitted: int = 0
     throttled_rate: int = 0
     throttled_depth: int = 0
-
-    def to_dict(self) -> dict:
-        """Flat counter dict for the stats endpoint and checkpoints."""
-        return {"submitted": self.submitted, "admitted": self.admitted,
-                "throttled_rate": self.throttled_rate,
-                "throttled_depth": self.throttled_depth}
 
 
 @dataclass
@@ -165,31 +154,3 @@ class AdmissionController:
                                      reason="rate-limit")
         stats.admitted += 1
         return AdmissionDecision(True, qos)
-
-    # -- checkpoint support --------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Serializable controller state (buckets + counters)."""
-        return {
-            "max_queue_depth": self.max_queue_depth,
-            "buckets": [
-                {"tenant": tenant, "qos": qos, **bucket.export_state()}
-                for (tenant, qos), bucket in sorted(self.buckets.items())
-            ],
-            "stats": {tenant: stats.to_dict()
-                      for tenant, stats in sorted(self.stats.items())},
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "AdmissionController":
-        """Rebuild a controller from :meth:`export_state` output."""
-        controller = cls(max_queue_depth=int(state["max_queue_depth"]))
-        for row in state["buckets"]:
-            controller.buckets[(row["tenant"], row["qos"])] = TokenBucket(
-                rate=float(row["rate"]), burst=float(row["burst"]),
-                tokens=float(row["tokens"]),
-                updated_at=float(row["updated_at"]),
-            )
-        for tenant, counters in state["stats"].items():
-            controller.stats[tenant] = TenantStats(**counters)
-        return controller

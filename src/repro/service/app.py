@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.core.manager import PlacementOutcome
@@ -94,23 +94,6 @@ class ServiceConfig:
         check_fleet(self.fleet_size, self.fleet_devices)
         check_int("max_queue_depth", self.max_queue_depth, 1)
 
-    def to_dict(self) -> dict:
-        """JSON-ready config (checkpoint header)."""
-        return dict(asdict(self), fleet_devices=list(self.fleet_devices))
-
-    @classmethod
-    def from_dict(cls, data) -> "ServiceConfig":
-        """Rebuild a config from :meth:`to_dict` output; a document that
-        is not an object or names an unknown field raises
-        :class:`ValueError`."""
-        if not isinstance(data, dict):
-            raise ValueError("config must be an object, "
-                             f"got {type(data).__name__}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config fields {unknown}")
-        return cls(**data)
-
 
 def _finite(value) -> bool:
     """Whether ``value`` is a finite real number (a boolean is not)."""
@@ -161,8 +144,9 @@ class ServiceEngine(OnlineTaskScheduler):
         #: listeners notified with every new telemetry entry (the API
         #: layer's NDJSON subscribers).
         self.telemetry_listeners: list[Callable[[dict], None]] = []
-        self._next_task_id = 1
-        self._journal_seq = 0
+        #: the next submission's id and the next journal entry's seq.
+        self.next_task_id = 1
+        self.journal_seq = 0
         self.kernel.on_sample = self._record_telemetry
 
     # -- submission + clock --------------------------------------------------
@@ -185,7 +169,7 @@ class ServiceEngine(OnlineTaskScheduler):
         the caller whether it was placed immediately or queued.
         """
         task = Task(
-            task_id=self._next_task_id,
+            task_id=self.next_task_id,
             height=height,
             width=width,
             exec_seconds=exec_seconds,
@@ -194,7 +178,7 @@ class ServiceEngine(OnlineTaskScheduler):
             priority=priority,
             tenant=tenant,
         )
-        self._next_task_id += 1
+        self.next_task_id += 1
         self.tasks[task.task_id] = task
         self._journal("submitted", task)
         self._enqueue_task(task)
@@ -244,12 +228,12 @@ class ServiceEngine(OnlineTaskScheduler):
     def _journal(self, event: str, task: Task) -> None:
         """Append one life-cycle event to the journal."""
         self.journal.append({
-            "seq": self._journal_seq,
+            "seq": self.journal_seq,
             "t": self.now,
             "event": event,
             "task": task.task_id,
         })
-        self._journal_seq += 1
+        self.journal_seq += 1
 
     def _record_telemetry(self) -> None:
         """Append one telemetry entry for the kernel sample just taken
@@ -515,7 +499,7 @@ class ReproService:
             "restarted": metrics.restarted_tasks,
             "dropped": metrics.dropped_tasks,
             "tenants": {
-                tenant: stats.to_dict()
+                tenant: asdict(stats)
                 for tenant, stats in sorted(self.door.stats.items())
             },
             # Hot-path cache/memo counters (process-wide, monotonic

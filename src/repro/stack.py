@@ -50,15 +50,21 @@ from repro.sched.workload import get_workload
 POLICY_NAMES = tuple(p.value for p in RearrangePolicy)
 #: Valid configuration-port kinds (see repro.core.cost.CostModel).
 PORT_KINDS = ("boundary-scan", "selectmap")
+#: The most members a fleet may have: every member's fabric is built
+#: up front, so a config asking for more is refused before any is.
+MAX_FLEET_SIZE = 64
 
 
-def check_int(name: str, value, minimum: int | None = None) -> int:
-    """``value`` if it is an integer (a boolean is not) of at least
-    ``minimum``, else :class:`ValueError` naming ``name``."""
+def check_int(name: str, value, minimum: int | None = None,
+              maximum: int | None = None) -> int:
+    """``value`` if it is an integer (a boolean is not) from ``minimum``
+    to ``maximum``, else :class:`ValueError` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
     return value
 
 
@@ -87,15 +93,20 @@ def _seed(value) -> int:
 
 
 def _fleet_size(value) -> int:
-    """A resolver keeping a fleet size (an integer >= 1)."""
-    return check_int("fleet_size", value, 1)
+    """A resolver keeping a fleet size (an integer from 1 to
+    :data:`MAX_FLEET_SIZE`)."""
+    return check_int("fleet_size", value, 1, MAX_FLEET_SIZE)
 
 
 def _fleet_devices(value) -> tuple[str, ...]:
-    """A resolver turning a list of known device names into a tuple."""
+    """A resolver turning a list of known device names, at most
+    :data:`MAX_FLEET_SIZE` with the primary device, into a tuple."""
     if not isinstance(value, (list, tuple)):
         raise ValueError("fleet_devices must be a list of device names, "
                          f"got {value!r}")
+    if 1 + len(value) > MAX_FLEET_SIZE:
+        raise ValueError(f"fleet_devices names {len(value)} devices; a "
+                         f"fleet has at most {MAX_FLEET_SIZE} members")
     return tuple(_registered("fleet_devices", device_by_name)(name)
                  for name in value)
 

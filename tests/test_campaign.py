@@ -86,11 +86,20 @@ BAD_AXIS_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", list(BAD_AXIS_VALUES))
-def test_spec_validation_covers_every_axis(name):
+@pytest.mark.parametrize("name, value", [
+    *(pytest.param(name, value, id=name)
+      for name, value in BAD_AXIS_VALUES.items()),
+    # Counts above the fleet and port ceilings, which the spec refuses
+    # before anything is built.
+    pytest.param("fleet_size", 65, id="fleet-size-65"),
+    pytest.param("fleet_size", 10**12, id="fleet-size-10-12"),
+    pytest.param("ports", "multi-65", id="multi-65-ports"),
+    pytest.param("ports", 10**12, id="10-12-ports"),
+])
+def test_spec_validation_covers_every_axis(name, value):
     spec = dict(device="XC2S15", policy="none", workload="random", seed=0)
     with pytest.raises((KeyError, ValueError)):
-        ScenarioSpec(**{**spec, name: BAD_AXIS_VALUES[name]})
+        ScenarioSpec(**{**spec, name: value})
 
 
 def test_axis_table_matches_the_spec_fields():

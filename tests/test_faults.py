@@ -23,6 +23,8 @@ What is pinned, layer by layer:
   what the uninterrupted run records.
 """
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -423,17 +425,21 @@ def test_flake_port_charges_retry_seconds():
     assert inject(fleet, "port-flaky", member=1)["retry_seconds"] == 0.0
 
 
+def through_json(service: ReproService) -> ReproService:
+    """``service`` restored from its snapshot as it reads back from
+    JSON."""
+    return restore(json.loads(json.dumps(snapshot(service))))
+
+
 def test_export_fault_state_roundtrip_on_a_fresh_scheduler():
-    scheduler = single_scheduler()
-    assert scheduler.kernel.faults.export_state() is None  # fault-free
-    inject(scheduler, "region-stuck", row=1, col=1, height=2, width=2,
-           duration=4.0)
-    state = scheduler.kernel.faults.export_state()
-    fresh = single_scheduler()
-    fresh.kernel.faults.restore_state(state)
-    assert fresh.kernel.faults.export_state() == state
-    occupied = (fresh.kernel.manager.members[0].fabric.occupancy != 0).sum()
-    assert occupied == 2 * 2
+    service = ReproService(ServiceConfig(device="XC2S15"))
+    assert snapshot(service)["faults"] is None  # fault-free
+    service.inject_fault("region-stuck", row=1, col=1, height=2, width=2,
+                         duration=4.0)
+    fresh = through_json(service)
+    assert snapshot(fresh)["faults"] == snapshot(service)["faults"]
+    fabric = fresh.engine.kernel.manager.members[0].fabric
+    assert (fabric.occupancy != 0).sum() == 2 * 2
 
 
 # -- the always-on service --------------------------------------------------
@@ -481,9 +487,8 @@ def test_service_region_and_port_faults():
 def test_service_checkpoint_mid_member_death_is_bit_identical():
     service = fleet_service()
     service.inject_fault("member-death", member=1)
-    restored = restore(snapshot(service))
-    assert restored.engine.kernel.faults.export_state() \
-        == service.engine.kernel.faults.export_state()
+    restored = through_json(service)
+    assert snapshot(restored)["faults"] == snapshot(service)["faults"]
     service.settle()
     restored.settle()
     assert restored.engine.journal == service.engine.journal
@@ -636,9 +641,8 @@ def test_checkpoint_cut_mid_outbreak_restores_bit_identically(cut):
     and the settled journal and telemetry streams match bit for bit."""
     original = outbreak_service()
     original.advance(until=cut)
-    restored = restore(snapshot(original))
-    assert restored.engine.kernel.faults.export_state() \
-        == original.engine.kernel.faults.export_state()
+    restored = through_json(original)
+    assert snapshot(restored)["faults"] == snapshot(original)["faults"]
     original.settle()
     restored.settle()
     assert restored.engine.journal == original.engine.journal

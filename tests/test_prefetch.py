@@ -13,6 +13,8 @@ campaign layer's sparse ``--prefetch`` axis:
   in shape to the historical exports (the golden suite pins the values).
 """
 
+import json
+
 import pytest
 
 from repro.campaign.runner import ScenarioResult, run_scenario
@@ -29,6 +31,7 @@ from repro.sched.prefetch import (
 from repro.sched.scheduler import ApplicationFlowScheduler, OnlineTaskScheduler
 from repro.sched.tasks import ApplicationSpec, FunctionSpec, Task
 from repro.sched.workload import bursty_tasks, codec_swap_applications
+from repro.service import ReproService, ServiceConfig, restore, snapshot
 
 
 def make_manager(name="XC2S15"):
@@ -126,14 +129,18 @@ class TestBitstreamCache:
             BitstreamCache(capacity=0)
 
     def test_state_roundtrip(self):
-        cache = BitstreamCache(capacity=3)
+        """A cache-mode service's resident set survives snapshot, JSON
+        and restore: same state, same victim."""
+        svc = ReproService(ServiceConfig(prefetch="cache"))
+        cache = svc.engine.kernel.caches[0]
+        cache.capacity = 3
         cache.insert("a", 2, 2, ready_at=1.0, now=0.0, next_use=4.0)
         cache.insert("b", 3, 1, ready_at=2.0, now=1.5)
         cache.hit("a", now=2.0)
-        clone = BitstreamCache()
-        clone.restore_state(cache.export_state())
-        assert clone.export_state() == cache.export_state()
-        assert clone.peek_victim().key == cache.peek_victim().key
+        clone = restore(json.loads(json.dumps(snapshot(svc))))
+        assert snapshot(clone)["prefetch"] == snapshot(svc)["prefetch"]
+        assert clone.engine.kernel.caches[0].peek_victim().key \
+            == cache.peek_victim().key
 
 
 def one_chain(functions, name="A"):

@@ -17,6 +17,8 @@ Pinned invariants (hypothesis; the CI profile derandomizes them):
   golden snapshots stay pinned.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from repro.device.fabric import Fabric
 from repro.sched.prefetch import BitstreamCache
 from repro.sched.scheduler import ApplicationFlowScheduler
 from repro.sched.tasks import ApplicationSpec, FunctionSpec
+from repro.service import ReproService, ServiceConfig, restore, snapshot
 
 pytestmark = pytest.mark.slow
 
@@ -151,10 +154,13 @@ class TestEvictionOrder:
     @given(trace=cache_operations())
     @settings(max_examples=60)
     def test_state_roundtrip_preserves_behaviour(self, trace):
-        """Export/restore after a random trace is lossless: the clone
-        reports the same state and would evict the same victim."""
+        """Snapshot, JSON and restore of a cache-mode service after a
+        random trace is lossless: the clone reports the same state and
+        would evict the same victim."""
         capacity, ops = trace
-        cache = BitstreamCache(capacity=capacity)
+        svc = ReproService(ServiceConfig(prefetch="cache"))
+        cache = svc.engine.kernel.caches[0]
+        cache.capacity = capacity
         for now, op in enumerate(ops):
             if op[0] == "insert":
                 cache.insert(op[1], 2, 2, ready_at=float(now),
@@ -163,11 +169,11 @@ class TestEvictionOrder:
                 cache.hit(op[1], now=float(now))
             else:
                 cache.note_next_use(op[1], op[2])
-        clone = BitstreamCache()
-        clone.restore_state(cache.export_state())
-        assert clone.export_state() == cache.export_state()
+        clone = restore(json.loads(json.dumps(snapshot(svc))))
+        assert snapshot(clone)["prefetch"] == snapshot(svc)["prefetch"]
         if len(cache):
-            assert clone.peek_victim().key == cache.peek_victim().key
+            assert clone.engine.kernel.caches[0].peek_victim().key \
+                == cache.peek_victim().key
 
 
 class TestNeverModeIsInert:

@@ -1,5 +1,7 @@
 """Unit tests for the reconfiguration-port models (repro.sched.ports)."""
 
+import json
+
 import pytest
 
 from repro.sched.events import EventQueue, SequentialResource
@@ -11,6 +13,7 @@ from repro.sched.ports import (
     make_port_model,
     normalize_port_model,
 )
+from repro.service import ReproService, ServiceConfig, restore, snapshot
 
 
 class TestNormalize:
@@ -146,18 +149,20 @@ class TestIcapModel:
         assert model.busy_seconds == pytest.approx(16.0 / 8.0 + 8.0 / 4.0)
 
     def test_state_roundtrip_and_legacy_restore(self):
-        model = IcapPortModel(EventQueue(), write_speedup=8.0,
-                              readback_speedup=4.0)
+        """An icap service's lanes survive snapshot, JSON and restore;
+        a pre-lane port row (one folded free_at horizon) is refused."""
+        svc = ReproService(ServiceConfig(ports="icap"))
+        model = svc.engine.kernel.ports[0]
         model.acquire(4.0, 8.0)
-        clone = IcapPortModel(EventQueue(), write_speedup=8.0,
-                              readback_speedup=4.0)
-        clone.restore_state(model.export_state())
+        doc = json.loads(json.dumps(snapshot(svc)))
+        clone = restore(doc).engine.kernel.ports[0]
+        assert (clone.write_free, clone.readback_free) \
+            == (model.write_free, model.readback_free)
         assert clone.free_at == model.free_at
         assert clone.busy_seconds == model.busy_seconds
-        # A pre-lane state (one folded free_at horizon) is refused.
-        legacy = IcapPortModel(EventQueue())
-        with pytest.raises(KeyError):
-            legacy.restore_state({"free_at": 7.5, "busy_seconds": 2.0})
+        doc["ports"][0] = {"free_at": 7.5, "busy_seconds": 2.0}
+        with pytest.raises(ValueError, match=r"ports\[0\]"):
+            restore(doc)
 
     def test_icap_beats_serial_on_a_defrag_heavy_scenario(self):
         """End to end through the kernel: on a relocation-heavy stream

@@ -104,9 +104,9 @@ def test_admission_controller_is_per_tenant_and_per_class():
     # Tenant b's gold bucket and tenant a's silver bucket are untouched.
     assert door.admit("b", "gold", 0.0, 0).admitted
     assert door.admit("a", "silver", 0.0, 0).admitted
-    stats = door.stats["a"].to_dict()
-    assert stats["submitted"] == gold_burst + 2
-    assert stats["throttled_rate"] == 1
+    stats = door.stats["a"]
+    assert stats.submitted == gold_burst + 2
+    assert stats.throttled_rate == 1
 
 
 def test_depth_bound_sheds_load_before_metering_it():
@@ -379,13 +379,13 @@ def test_malformed_submission_raises_and_leaves_no_trace(fields, junk):
     svc.submit(2, 2, 1.0, tenant="t", at=1.0)
     engine = svc.engine
     tasks, journal = dict(engine.tasks), list(engine.journal)
-    door = svc.door.export_state()
+    door = snapshot(svc)["door"]
     if malformed:
         with pytest.raises(ValueError):
             svc.submit(tenant="t", **{**fields, **junk})
         assert engine.tasks == tasks
         assert engine.journal == journal
-        assert svc.door.export_state() == door
+        assert snapshot(svc)["door"] == door
     else:
         view = svc.submit(tenant="t", **{**fields, **junk})
         assert view["admitted"] or view["reason"] in ("rate-limit",

@@ -25,12 +25,14 @@ repo deliberately carries no pytest-asyncio dependency).  Pinned:
 """
 
 import asyncio
+import functools
 import json
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.replay import service_trace
 from repro.service import ReproService, ServiceAPI, ServiceConfig
 from repro.service import api as api_module
 from repro.service import checkpoint
@@ -598,14 +600,18 @@ def test_checkpoint_to_file_and_restore_from_path(tmp_path):
     {"fleet_devices": "XC2S30"}, {"device": 7}, {"queue": None},
     {"fit": ["first"]}, {"max_queue_depth": "x"}, {"max_queue_depth": 0},
     {"max_queue_depth": True}, {"colour": "red"}, "XC2S15", [],
+    {"fleet_size": 65}, {"fleet_size": 10**12}, {"ports": "multi-65"},
+    {"ports": 10**12},
 ], ids=["string-fleet-size", "fractional-fleet-size", "boolean-fleet-size",
         "fleet-size-next-to-fleet-devices", "string-fleet-devices",
         "numeric-device", "null-queue", "list-fit", "string-queue-depth",
         "zero-queue-depth", "boolean-queue-depth", "unknown-key",
-        "string-config", "list-config"])
+        "string-config", "list-config", "fleet-size-65", "fleet-size-10-12",
+        "multi-65-ports", "10-12-ports"])
 def test_malformed_restore_config_is_a_400_that_keeps_the_service(config):
-    """The config is checked before any stack is built: the restore is
-    refused and the running service keeps serving."""
+    """The config is checked before any stack is built, a fleet or a
+    port count above the ceilings included: the restore is refused and
+    the running service keeps serving."""
     async def scenario(api, client):
         unhandled = []
         asyncio.get_running_loop().set_exception_handler(
@@ -615,6 +621,10 @@ def test_malformed_restore_config_is_a_400_that_keeps_the_service(config):
         _, snap, _ = await client.request("POST", "/checkpoint", {})
         snap["config"] = ({**snap["config"], **config}
                           if isinstance(config, dict) else config)
+        if config == {"ports": "multi-65"}:
+            # The port row such a model restores, so that only the port
+            # ceiling refuses the document.
+            snap["ports"] = [{"lane_free": [0.0] * 65, "busy_seconds": 0.0}]
         status, payload, _ = await client.request("POST", "/restore", snap)
         assert status == 400 and payload["error"]
         assert api.service is original
@@ -624,9 +634,9 @@ def test_malformed_restore_config_is_a_400_that_keeps_the_service(config):
     with_api(scenario)
 
 
-def running_row(snap: dict) -> dict:
-    """The task row of the snapshot's first running entry."""
-    owner = snap["running"][0]["task"]
+def entry_row(snap: dict, key: str = "running") -> dict:
+    """The task row of the snapshot's first ``key`` entry."""
+    owner = snap[key][0]["task"]
     return next(row for row in snap["tasks"] if row["task"] == owner)
 
 
@@ -639,23 +649,55 @@ MALFORMED_SNAPSHOTS = {
                    "metrics", "door")},
     "unknown-metric": lambda snap: snap["metrics"].update(colour=1),
     "rect-off-the-fabric":
-        lambda snap: running_row(snap).update(rect=[0, 40, 6, 8]),
+        lambda snap: entry_row(snap).update(rect=[0, 40, 6, 8]),
     "unknown-queued-task": lambda snap: snap["queued"][0].update(task=999),
     "unknown-running-task": lambda snap: snap["running"][0].update(task=999),
+    "running-device-null": lambda snap: entry_row(snap).update(device=None),
+    "running-rect-null": lambda snap: entry_row(snap).update(rect=None),
+    "running-rect-of-three-values":
+        lambda snap: entry_row(snap).update(rect=[0, 0, 6]),
+    "running-rect-of-strings":
+        lambda snap: entry_row(snap).update(rect=["0", "0", "6", "8"]),
+    "queued-height-string":
+        lambda snap: entry_row(snap, "queued").update(height="6"),
+    "queued-deadline-string":
+        lambda snap: snap["queued"][0].update(deadline="5"),
+    "null-next-task-id": lambda snap: snap.update(next_task_id=None),
+    "door-stats-unknown-key":
+        lambda snap: snap["door"]["stats"]["default"].update(colour=1),
+    "journal-entry-not-an-object":
+        lambda snap: snap["journal"].__setitem__(0, 1),
+    "telemetry-entry-not-an-object":
+        lambda snap: snap["telemetry"].__setitem__(0, 1),
+    "faults-not-an-object": lambda snap: snap.update(faults=1),
+    "running-entry-without-finish-at":
+        lambda snap: snap["running"][0].pop("finish_at"),
+    "task-row-without-tenant": lambda snap: snap["tasks"][0].pop("tenant"),
+    "no-clock": lambda snap: snap.pop("clock"),
+    "port-row-without-free-at": lambda snap: snap["ports"][0].pop("free_at"),
+    "door-without-buckets": lambda snap: snap["door"].pop("buckets"),
+    "metrics-finished-string":
+        lambda snap: snap["metrics"].update(finished="x"),
+    "queued-entry-on-a-finished-row":
+        lambda snap: entry_row(snap, "queued").update(state="finished"),
+    "duplicated-task-row":
+        lambda snap: snap["tasks"].insert(1, dict(snap["tasks"][0])),
+    "string-defrag-last-attempt":
+        lambda snap: snap["defrag_last_attempt"].__setitem__(0, "x"),
+    "prefetch-not-an-object": lambda snap: snap.update(prefetch=1),
+    "queued-entry-naming-the-running-task": lambda snap: snap["queued"][0]
+        .update(task=snap["running"][0]["task"]),
+    "next-task-id-1": lambda snap: snap.update(next_task_id=1),
+    "next-task-id-10-12": lambda snap: snap.update(next_task_id=10**12),
 }
 
 
-@pytest.mark.parametrize("mutation", MALFORMED_SNAPSHOTS.values(),
-                         ids=MALFORMED_SNAPSHOTS.keys())
-def test_malformed_snapshot_is_a_400_that_keeps_the_service(
-        mutation, tmp_path, capsys):
-    """A snapshot with a container entry of the wrong type, an unknown
-    metric, a region off the fabric or a queued or running entry naming
-    no task is refused: ``restore`` raises ValueError, ``POST /restore``
-    answers 400 and the running service keeps serving, and
-    ``--restore`` prints one ``error:`` line and exits 2."""
-    path = tmp_path / "snapshot.json"
-
+def assert_restore_refused(mutation, path, capsys, **config) -> None:
+    """``mutation`` of a snapshot of a service (built from ``config``)
+    with one running and two queued tasks is refused: ``restore`` raises
+    ValueError, ``POST /restore`` answers 400 and the running service
+    keeps serving, and ``--restore`` prints one ``error:`` line and
+    exits 2."""
     async def scenario(api, client):
         for _ in range(3):
             await client.request("POST", "/tasks",
@@ -672,10 +714,153 @@ def test_malformed_snapshot_is_a_400_that_keeps_the_service(
         assert status == 200 and payload["tasks"] == 3
         with pytest.raises(ValueError):
             checkpoint.restore(snap)
-    with_api(scenario)
+    with_api(scenario, **config)
     assert service_main(["--restore", str(path)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("mutation", MALFORMED_SNAPSHOTS.values(),
+                         ids=MALFORMED_SNAPSHOTS.keys())
+def test_malformed_snapshot_is_a_400_that_keeps_the_service(
+        mutation, tmp_path, capsys):
+    """A snapshot with a value of the wrong kind, a missing or unknown
+    key, a region off the fabric, a queued or running entry naming no
+    task of its own in that state, or a task id past ``next_task_id``
+    is refused (see :func:`assert_restore_refused`)."""
+    assert_restore_refused(mutation, tmp_path / "snapshot.json", capsys)
+
+
+@pytest.mark.parametrize("ports, row", [
+    ("icap", {"free_at": 7.5, "busy_seconds": 2.0}),
+    ("multi-2", {"lane_free": [0.0], "busy_seconds": 0.0}),
+], ids=["icap-port-with-a-serial-row", "multi-2-port-with-one-lane"])
+def test_port_row_of_another_shape_is_a_400_that_keeps_the_service(
+        ports, row, tmp_path, capsys):
+    """A port row not of the config's port model — an icap port with
+    the serial row of an older layout, or a multi-2 port with one lane —
+    is refused (see :func:`assert_restore_refused`)."""
+    assert_restore_refused(
+        lambda snap: snap["ports"].__setitem__(0, row),
+        tmp_path / "snapshot.json", capsys, ports=ports)
+
+
+@pytest.mark.parametrize("endpoint, where", [
+    ("/restore", "missing"), ("/restore", "directory"), ("/restore", 7),
+    ("/checkpoint", "missing-directory"), ("/checkpoint", "directory"),
+    ("/checkpoint", 7), ("--restore", "missing"),
+], ids=["restore-missing-file", "restore-directory", "restore-number",
+        "checkpoint-into-missing-directory", "checkpoint-onto-directory",
+        "checkpoint-number", "cli-restore-missing-file"])
+def test_checkpoint_file_errors_are_a_400_that_keeps_the_service(
+        endpoint, where, tmp_path, capsys):
+    """A checkpoint path that is not a string, names no file or names a
+    directory is refused: ``POST /restore`` and ``POST /checkpoint``
+    answer 400 and the service keeps serving, and ``--restore`` prints
+    one ``error:`` line naming the path and exits 2."""
+    path = {"missing": str(tmp_path / "missing.json"),
+            "directory": str(tmp_path),
+            "missing-directory": str(tmp_path / "missing" / "ckpt.json"),
+            }.get(where, where)
+    if endpoint == "--restore":
+        assert service_main(["--restore", path]) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert not out and line.startswith("error: ") and path in line
+        return
+
+    async def scenario(api, client):
+        await client.request("POST", "/tasks", SUBMIT)
+        original = api.service
+        status, payload, _ = await client.request(
+            "POST", endpoint, {"path": path})
+        assert status == 400 and payload["error"]
+        assert api.service is original
+        status, payload, _ = await client.request("GET", "/healthz")
+        assert status == 200 and payload["tasks"] == 1
+    with_api(scenario)
+
+
+def _fuzz_snapshot(config: dict, faults: list, at: int) -> str:
+    """The JSON snapshot of a service built from ``config``, fed a
+    diurnal trace, with each of ``faults`` (a kind and its fields)
+    injected after ``at`` submissions."""
+    service = ReproService(ServiceConfig(**config))
+    trace = service_trace("diurnal", seed=3, n=40, tenants=("a", "b"))
+    for index, submission in enumerate(trace):
+        if index == at:
+            for kind, fields in faults:
+                service.inject_fault(kind, **fields)
+        service.submit(**submission)
+    return json.dumps(checkpoint.snapshot(service))
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_snapshots() -> tuple[str, ...]:
+    """Three real snapshots: a 2-member plan-mode fleet with an active
+    stuck-at region, a multi-2 backfill service, and a 2-member icap
+    cache-mode fleet after a member death."""
+    return (
+        _fuzz_snapshot(dict(fleet_size=2, prefetch="plan"), [(
+            "region-stuck", dict(member=1, row=0, col=0, height=2, width=3,
+                                 duration=50.0))], at=25),
+        _fuzz_snapshot(dict(ports="multi-2", queue="backfill"), [], at=0),
+        _fuzz_snapshot(dict(fleet_size=2, ports="icap", prefetch="cache"),
+                       [("member-death", dict(member=1))], at=25),
+    )
+
+
+def _paths(value, path: tuple):
+    """``path`` and the path to every item below ``value``, found
+    there."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for step, item in items:
+        yield from _paths(item, (*path, step))
+
+
+#: The values one change of the fuzz below may put anywhere.
+FUZZ_VALUES = (None, "x", -1, 0, 2.5, 1e9, 10**12, True, [], {}, [1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_restore_refuses_or_serves_any_one_change_of_a_snapshot(data):
+    """One value changed anywhere in a real snapshot (to a value of
+    :data:`FUZZ_VALUES`), one key deleted or one added: ``restore``
+    raises ValueError (or KeyError for a config naming an unknown
+    name), or the restored service takes one more submission, settles
+    and snapshots to JSON."""
+    doc = json.loads(data.draw(st.sampled_from(fuzz_snapshots())))
+    # The entry first, so journal and telemetry do not drown the rest.
+    key = data.draw(st.sampled_from(list(doc)))
+    *head, last = data.draw(st.sampled_from(list(_paths(doc[key], (key,)))))
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    change = data.draw(st.sampled_from(("delete", "add") + FUZZ_VALUES))
+    if change == "delete":
+        del parent[last]
+    elif change == "add":
+        target = (parent[last] if isinstance(parent[last], dict)
+                  else parent)
+        if isinstance(target, dict):
+            target["extra"] = 1
+        else:
+            target.append(1)
+    else:
+        parent[last] = json.loads(json.dumps(change))
+    try:
+        service = checkpoint.restore(doc)
+    except ValueError:
+        return
+    except KeyError:
+        assert key == "config"
+        return
+    service.submit(2, 2, 0.5, tenant="a")
+    service.settle()
+    json.dumps(checkpoint.snapshot(service), allow_nan=False)
 
 
 def test_shutdown_endpoint_resolves_the_shutdown_event():

@@ -62,6 +62,8 @@ _ORACLE = ("tests/test_work_budget.py::"
 _FLEET_CELLS = ("xc2s15-fleet2-priority-serial",
                 "xc2s30-fleet4-least-loaded")
 _APPS_GOLDEN = "tests/test_golden_campaign.py::test_golden_apps_snapshot"
+_MALFORMED = ("tests/test_service_api.py::"
+              "test_malformed_snapshot_is_a_400_that_keeps_the_service")
 
 MUTANTS = (
     Mutant(
@@ -295,10 +297,11 @@ MUTANTS = (
     Mutant(
         name="member-sample-not-checkpointed",
         path="src/repro/service/checkpoint.py",
-        original='        "metrics": asdict(kernel.metrics),\n',
-        mutated=('        "metrics": dict(asdict(kernel.metrics),'
-                 ' latest_sample=kernel.metrics.latest_sample[:2]'
-                 ' + ((),)),\n'),
+        original=("        metrics=_write(_METRICS, kernel.metrics, "
+                  "tenant_finished=dict(\n"),
+        mutated=("        metrics=_write(_METRICS, kernel.metrics, "
+                 "latest_sample=kernel.metrics.latest_sample[:2] + ((),), "
+                 "tenant_finished=dict(\n"),
         tests=("tests/test_service.py::"
                "test_mid_run_snapshot_restore_snapshot_is_the_identity",),
     ),
@@ -349,10 +352,68 @@ MUTANTS = (
     Mutant(
         name="restore-skips-the-task-cross-check",
         path="src/repro/service/checkpoint.py",
-        original="            if _task_id(row) not in ids:\n",
-        mutated="            if _task_id(row) is None:\n",
-        tests=("tests/test_service_api.py::"
-               "test_malformed_snapshot_is_a_400_that_keeps_the_service",),
+        original='            need(states.get(entry["task"]) == state\n',
+        mutated='            need(states.get(entry["task"], state) == state\n',
+        tests=(f"{_MALFORMED}[unknown-queued-task]",),
+    ),
+    # One mutant per check restore makes of a snapshot document, each
+    # dropping the check its named malformed document trips.
+    Mutant(
+        name="row-keys-unchecked",
+        path="src/repro/service/checkpoint.py",
+        original="        if str not in kind and list(value) != list(kind):\n",
+        mutated="        if False:\n",
+        tests=(f"{_MALFORMED}[task-row-without-tenant]",),
+    ),
+    Mutant(
+        name="number-kind-takes-strings",
+        path="src/repro/service/checkpoint.py",
+        original=("        lambda v: type(v) in (int, float) "
+                  "and -top <= v <= top\n"),
+        mutated=("        lambda v: type(v) is str or type(v) in (int, float) "
+                 "and -top <= v <= top\n"),
+        tests=(f"{_MALFORMED}[queued-deadline-string]",),
+    ),
+    Mutant(
+        name="entry-state-unmatched",
+        path="src/repro/service/checkpoint.py",
+        original='            need(states.get(entry["task"]) == state\n',
+        mutated='            need(entry["task"] in states\n',
+        tests=(f"{_MALFORMED}[queued-entry-on-a-finished-row]",),
+    ),
+    Mutant(
+        name="lane-count-unchecked",
+        path="src/repro/service/checkpoint.py",
+        original=("    port = dict(_PORTS[model], "
+                  "lane_free=(_NUM,) * int(lanes)) if lanes \\\n"),
+        mutated=("    port = dict(_PORTS[model], "
+                 "lane_free=[_NUM]) if lanes \\\n"),
+        tests=("tests/test_service_api.py::test_port_row_of_another_shape_is"
+               "_a_400_that_keeps_the_service[multi-2-port-with-one-lane]",),
+    ),
+    Mutant(
+        name="task-id-bound-dropped",
+        path="src/repro/service/checkpoint.py",
+        original=('    need(not tasks or tasks[-1]["task"] '
+                  '< doc["next_task_id"],\n'),
+        mutated="    need(True,\n",
+        tests=(f"{_MALFORMED}[next-task-id-1]",),
+    ),
+    Mutant(
+        name="fleet-ceiling-dropped",
+        path="src/repro/stack.py",
+        original='    return check_int("fleet_size", value, 1, MAX_FLEET_SIZE)\n',
+        mutated='    return check_int("fleet_size", value, 1)\n',
+        tests=("tests/test_campaign.py::"
+               "test_spec_validation_covers_every_axis[fleet-size-65]",),
+    ),
+    Mutant(
+        name="checkpoint-file-error-unrefused",
+        path="src/repro/service/checkpoint.py",
+        original="    except OSError as exc:\n",
+        mutated="    except TypeError as exc:\n",
+        tests=("tests/test_service_api.py::test_checkpoint_file_errors_are_a"
+               "_400_that_keeps_the_service[cli-restore-missing-file]",),
     ),
     Mutant(
         name="sample-without-on-sample",
